@@ -23,9 +23,12 @@ check: lint
 # list (testdata/protections.golden), and the serve command's flag surface
 # — including the sustained-load knobs -querylogcap/-cachecap/-ratelimit/
 # -burst — must match testdata/serveflags.golden. Regenerate the goldens
-# with `go test ./cmd/privacy3d -update`.
+# with `go test ./cmd/privacy3d -update`. It also fails when gofmt would
+# reformat any tracked Go file (git ls-files keeps the ignored Go module
+# cache under .bench_build/ out of the scan).
 lint:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$unformatted" || { echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; }
 	$(GO) test ./cmd/privacy3d -run 'TestMethodTableGolden|TestProtectionTableGolden|TestProtectionTableFlagsExist|TestServeFlagsGolden|TestHelpListsEveryMethod|TestProtectionHelpMatchesParser'
 
 build:

@@ -245,7 +245,7 @@ func run(blocks, blockSize, cpirBits, statRows int, workersList string, seed uin
 	}
 
 	report := Report{
-		Date: time.Now().UTC().Format(time.RFC3339),
+		Date:   time.Now().UTC().Format(time.RFC3339),
 		Blocks: blocks, BlockSize: blockSize, CPIRBits: cpirBits, StatRows: statRows,
 		Seed: seed, GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		Warning: cpuWarning(),

@@ -100,16 +100,16 @@ type SnapshotGate struct {
 // PersistGate records the tiered-storage check: the dataset is ingested
 // into a data directory, the store closed, then reopened cold twice — once
 // uncapped and once with a resident-byte cap well below the dataset's
-// decoded footprint, so most answers read segments through the disk tier's
-// pager. Both reopens must answer the selective workload byte-identically
-// to the resident store.
+// decoded footprint, so most answers decode segments read back from disk.
+// Both reopens must answer the selective workload byte-identically to the
+// resident store.
 type PersistGate struct {
 	Rows          int   `json:"rows"`
 	Queries       int   `json:"queries"`
 	ResidentBytes int64 `json:"resident_bytes"`
 	MemCap        int64 `json:"mem_cap"`
 	SpilledSegs   int   `json:"spilled_segments"`
-	PagerMisses   int64 `json:"pager_misses"`
+	SpilledReads  int64 `json:"spilled_reads"`
 	Identical     bool  `json:"identical"`
 }
 
@@ -435,8 +435,8 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 				return err
 			}
 			report.Persist = pg
-			log.Printf("rows=%-8d persist OK: cold reopen byte-identical on %d queries; memcap %d of %d bytes kept %d segments spilled (%d pager misses)",
-				rows, pg.Queries, pg.MemCap, pg.ResidentBytes, pg.SpilledSegs, pg.PagerMisses)
+			log.Printf("rows=%-8d persist OK: cold reopen byte-identical on %d queries; memcap %d of %d bytes kept %d segments spilled (%d spilled reads)",
+				rows, pg.Queries, pg.MemCap, pg.ResidentBytes, pg.SpilledSegs, pg.SpilledReads)
 		}
 	}
 
@@ -687,7 +687,7 @@ func persistGate(d *dataset.Dataset, qs []sdcquery.Query, refs [][3]uint64) (*Pe
 	}
 
 	// Spill run: the cap keeps most of the dataset on disk, so answers read
-	// columns through the pager; they must still be bit-identical.
+	// segments decoded from their files; they must still be bit-identical.
 	memCap := residentBytes / 4
 	if memCap < 1 {
 		memCap = 1 // a cap below one segment still admits one at a time
@@ -709,7 +709,7 @@ func persistGate(d *dataset.Dataset, qs []sdcquery.Query, refs [][3]uint64) (*Pe
 	return &PersistGate{
 		Rows: d.Rows(), Queries: len(qs),
 		ResidentBytes: residentBytes, MemCap: memCap,
-		SpilledSegs: ts.Spilled, PagerMisses: ts.PagerMisses,
+		SpilledSegs: ts.Spilled, SpilledReads: ts.PagerMisses,
 		Identical: true,
 	}, nil
 }

@@ -169,7 +169,7 @@ func cmdServe(args []string) error {
 		Epsilon: *epsilon, Delta: *delta, EpsilonBudget: *budget,
 		AnswerCacheCap: *cacheCap,
 		SegmentSize:    *o.segment, ForceScan: *o.scan,
-		Shards:         *o.shards,
+		Shards: *o.shards,
 	}
 	if *logCap < 0 {
 		cfg.UnboundedQueryLog = true

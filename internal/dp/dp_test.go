@@ -111,7 +111,7 @@ func TestNoiseDeterministicPerKey(t *testing.T) {
 // calibrated scale's (√2·b for Laplace, σ for Gaussian).
 func TestNoiseDistributionMoments(t *testing.T) {
 	const n = 20000
-	lap := NoiseParams{Mechanism: Laplace, Sensitivity: 2, Epsilon: 1}   // b = 2, sd = 2√2
+	lap := NoiseParams{Mechanism: Laplace, Sensitivity: 2, Epsilon: 1}               // b = 2, sd = 2√2
 	gau := NoiseParams{Mechanism: Gaussian, Sensitivity: 1, Epsilon: 1, Delta: 1e-5} // σ ≈ 4.84
 	var sumL, sumL2, sumG, sumG2 float64
 	for i := 0; i < n; i++ {

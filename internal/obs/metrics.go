@@ -262,18 +262,16 @@ func RegisterParallelism(r *Registry) {
 
 // RegisterStoreTiers registers the storage-tier gauges: how many sealed
 // segments currently sit in memory versus on disk across the process's
-// live stores, and the cumulative pager cache traffic behind the spilled
-// tier. A serve process without a data directory reports its whole store
-// resident and an idle pager.
+// live stores, and the cumulative count of spilled-segment reads from disk
+// (one whole-file read per decode). A serve process without a data
+// directory reports its whole store resident and no spilled reads.
 func RegisterStoreTiers(r *Registry) {
-	gauge := func(pick func(resident, spilled, hits, misses, evictions int64) int64) func() float64 {
+	gauge := func(pick func(resident, spilled, spilledReads int64) int64) func() float64 {
 		return func() float64 { return float64(pick(store.TierGauges())) }
 	}
-	r.Gauge("store_segments_resident", gauge(func(resident, _, _, _, _ int64) int64 { return resident }))
-	r.Gauge("store_segments_spilled", gauge(func(_, spilled, _, _, _ int64) int64 { return spilled }))
-	r.Gauge("store_pager_hits", gauge(func(_, _, hits, _, _ int64) int64 { return hits }))
-	r.Gauge("store_pager_misses", gauge(func(_, _, _, misses, _ int64) int64 { return misses }))
-	r.Gauge("store_pager_evictions", gauge(func(_, _, _, _, evictions int64) int64 { return evictions }))
+	r.Gauge("store_segments_resident", gauge(func(resident, _, _ int64) int64 { return resident }))
+	r.Gauge("store_segments_spilled", gauge(func(_, spilled, _ int64) int64 { return spilled }))
+	r.Gauge("store_spilled_reads", gauge(func(_, _, reads int64) int64 { return reads }))
 }
 
 // Handler serves the registry as GET /metrics plain text.

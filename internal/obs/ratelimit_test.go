@@ -74,7 +74,7 @@ func TestTokenBucketsBoundedClients(t *testing.T) {
 	now := time.Unix(2000, 0)
 	tb.now = func() time.Time { return now }
 	for i := 0; i < 100; i++ {
-		tb.Allow(string(rune('a' + i%26)) + string(rune('0'+i/26)))
+		tb.Allow(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		now = now.Add(time.Millisecond)
 	}
 	if n := tb.Clients(); n > 9 { // maxClients + the newly inserted one

@@ -8,7 +8,7 @@ import (
 	"privacy3d/internal/store"
 )
 
-// TestStoreTierGaugesExposition pins the five tier gauges every serve
+// TestStoreTierGaugesExposition pins the three tier gauges every serve
 // binary surfaces at GET /metrics, and that building a store moves the
 // resident gauge: a memory-only store counts entirely resident.
 func TestStoreTierGaugesExposition(t *testing.T) {
@@ -18,13 +18,13 @@ func TestStoreTierGaugesExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _, _, _, _ := store.TierGauges()
+	before, _, _ := store.TierGauges()
 	st, err := store.FromDataset(d, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	after, _, _, _, _ := store.TierGauges()
+	after, _, _ := store.TierGauges()
 	if after <= before {
 		t.Fatalf("resident gauge did not grow: %d -> %d", before, after)
 	}
@@ -36,9 +36,7 @@ func TestStoreTierGaugesExposition(t *testing.T) {
 	for _, name := range []string{
 		"store_segments_resident",
 		"store_segments_spilled",
-		"store_pager_hits",
-		"store_pager_misses",
-		"store_pager_evictions",
+		"store_spilled_reads",
 	} {
 		if !strings.Contains(out, name+" ") {
 			t.Errorf("exposition missing %s gauge:\n%s", name, out)

@@ -284,7 +284,7 @@ type Config struct {
 	DataDir string
 	// MemCap caps the decoded resident bytes of sealed segments when
 	// DataDir is set (0 = uncapped): segments beyond the cap are evicted
-	// after being persisted and read back through the pager on demand,
+	// after being persisted and decoded from their files on demand,
 	// letting the served dataset exceed RAM. Answers are byte-identical
 	// across tiers.
 	MemCap int64

@@ -102,10 +102,8 @@ func BenchmarkEvalLoop8x100k(b *testing.B) {
 func sumFullSweep(s *Snapshot, bm *Bitmap, col int) float64 {
 	var sum float64
 	for _, sg := range s.segs {
-		d, release := sg.acquire()
-		colv := d.nums[col]
+		colv := sg.acquire().nums[col]
 		words := sg.window(bm.words)
-		defer release()
 		for wi, w := range words {
 			base := wi << 6
 			for w != 0 {

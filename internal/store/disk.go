@@ -192,65 +192,69 @@ func writeBlockFile(dir, name, magic string, base int, rows int, nums [][]float6
 	return size, fileCRC, nil
 }
 
-// blockReader decodes a block file sequentially through any ReaderAt —
-// directly for tails at Open, through the pager for spilled segments.
+// blockReader decodes a block file sequentially out of one buffer holding
+// the whole file, read with a single ReadAt: typed columns decode straight
+// from the buffer with no intermediate copies.
 type blockReader struct {
-	src  io.ReaderAt
-	size int64
-	off  int64
-	read func(off int64, dst []byte) error
+	buf  []byte // the whole block file, CRC footer included
+	off  int
 	name string
 }
 
-func (br *blockReader) bytes(dst []byte) error {
-	if br.off+int64(len(dst)) > br.size-4 { // never read into the CRC footer
-		return fmt.Errorf("store: %s: truncated block (want %d bytes at %d, size %d)", br.name, len(dst), br.off, br.size)
+// take returns the next n bytes of the block body.
+func (br *blockReader) take(n int) ([]byte, error) {
+	if br.off+n > len(br.buf)-4 { // never read into the CRC footer
+		return nil, fmt.Errorf("store: %s: truncated block (want %d bytes at %d, size %d)", br.name, n, br.off, len(br.buf))
 	}
-	if err := br.read(br.off, dst); err != nil {
-		return err
-	}
-	br.off += int64(len(dst))
-	return nil
+	p := br.buf[br.off : br.off+n]
+	br.off += n
+	return p, nil
 }
 
 func (br *blockReader) u8() (uint8, error) {
-	var b [1]byte
-	err := br.bytes(b[:])
-	return b[0], err
+	p, err := br.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return p[0], nil
 }
 
 func (br *blockReader) u32() (uint32, error) {
-	var b [4]byte
-	err := br.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
+	p, err := br.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(p), nil
 }
 
 func (br *blockReader) u64() (uint64, error) {
-	var b [8]byte
-	err := br.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:]), err
+	p, err := br.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(p), nil
 }
 
 func (br *blockReader) f64s(n int) ([]float64, error) {
-	buf := make([]byte, n*8)
-	if err := br.bytes(buf); err != nil {
+	p, err := br.take(n * 8)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
 	}
 	return out, nil
 }
 
 func (br *blockReader) u32s(n int) ([]uint32, error) {
-	buf := make([]byte, n*4)
-	if err := br.bytes(buf); err != nil {
+	p, err := br.take(n * 4)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[i*4:])
+		out[i] = binary.LittleEndian.Uint32(p[i*4:])
 	}
 	return out, nil
 }
@@ -263,8 +267,8 @@ func (br *blockReader) u32s(n int) ([]uint32, error) {
 // any failure model short of external corruption, which the structural
 // checks turn into an error rather than garbage.
 func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withIndexes bool) (base int, d *segData, err error) {
-	head := make([]byte, 8)
-	if err := br.bytes(head); err != nil {
+	head, err := br.take(8)
+	if err != nil {
 		return 0, nil, err
 	}
 	if string(head) != magic {
@@ -356,8 +360,8 @@ func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withI
 			d.cidx[j] = ci
 		}
 	}
-	if br.off != br.size-4 {
-		return 0, nil, fmt.Errorf("store: %s: %d trailing bytes after block body", br.name, br.size-4-br.off)
+	if br.off != len(br.buf)-4 {
+		return 0, nil, fmt.Errorf("store: %s: %d trailing bytes after block body", br.name, len(br.buf)-4-br.off)
 	}
 	return int(base64), d, nil
 }

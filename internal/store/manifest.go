@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,15 +47,40 @@ const (
 
 // manifestBlock describes one committed block file (sealed segment or
 // tail): its name, row count, exact file size, checksum of the whole file,
-// and the decoded in-memory footprint (what the resident-tier memory cap
+// the decoded in-memory footprint (what the resident-tier memory cap
 // accounts, unknowable from the file size alone because NaN counts change
-// index shapes).
+// index shapes), and — for sealed segments — one zone map per schema
+// column as the IEEE-754 bit patterns of [min, max], so −0, ±Inf and the
+// empty zone of an all-NaN column round-trip exactly (JSON numbers cannot
+// carry ±Inf). Manifests written before zones were persisted omit them.
 type manifestBlock struct {
-	File    string `json:"file"`
-	Rows    int    `json:"rows"`
-	Size    int64  `json:"size"`
-	CRC     uint32 `json:"crc"`
-	Decoded int64  `json:"decoded,omitempty"`
+	File    string      `json:"file"`
+	Rows    int         `json:"rows"`
+	Size    int64       `json:"size"`
+	CRC     uint32      `json:"crc"`
+	Decoded int64       `json:"decoded,omitempty"`
+	Zones   [][2]uint64 `json:"zones,omitempty"`
+}
+
+// encodeZones converts a segment's zone maps to their manifest form.
+func encodeZones(zs []zone) [][2]uint64 {
+	out := make([][2]uint64, len(zs))
+	for j, z := range zs {
+		out[j] = [2]uint64{math.Float64bits(z.min), math.Float64bits(z.max)}
+	}
+	return out
+}
+
+// decodeZones is encodeZones' inverse; nil stays nil (a legacy manifest).
+func decodeZones(bits [][2]uint64) []zone {
+	if bits == nil {
+		return nil
+	}
+	zs := make([]zone, len(bits))
+	for j, b := range bits {
+		zs[j] = zone{math.Float64frombits(b[0]), math.Float64frombits(b[1])}
+	}
+	return zs
 }
 
 // manifest is commit S's full description of the durable state.
@@ -169,6 +195,9 @@ func readManifest(path string) (*manifest, error) {
 func validateManifest(dir string, m *manifest) error {
 	for i := range m.Segments {
 		b := &m.Segments[i]
+		if err := validateZones(b, len(m.Attrs)); err != nil {
+			return err
+		}
 		if err := validateBlockFile(dir, b); err != nil {
 			return err
 		}
@@ -185,6 +214,26 @@ func validateManifest(dir string, m *manifest) error {
 		}
 		if crc != m.DictCRC {
 			return fmt.Errorf("store: dictionary checksum mismatch over committed prefix")
+		}
+	}
+	return nil
+}
+
+// validateZones checks a segment's zone maps are well formed: one per
+// schema column, each a real interval or the empty zone. The DP bounds are
+// served from them without decoding, so a malformed array must fail the
+// commit rather than reach NumRange. (Whether the zones match the segment's
+// values is checked when the segment is decoded.)
+func validateZones(b *manifestBlock, cols int) error {
+	if b.Zones == nil {
+		return nil
+	}
+	if len(b.Zones) != cols {
+		return fmt.Errorf("store: %s: %d zone maps, schema has %d columns", b.File, len(b.Zones), cols)
+	}
+	for j, z := range decodeZones(b.Zones) {
+		if !(z.min <= z.max) && z != emptyZone {
+			return fmt.Errorf("store: %s: column %d zone [%g, %g] is not an interval", b.File, j, z.min, z.max)
 		}
 	}
 	return nil

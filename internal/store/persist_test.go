@@ -183,7 +183,7 @@ func TestSpillUnderMemCapByteIdentical(t *testing.T) {
 
 	// Cap the resident tier below two segments' decoded footprint so most
 	// sealed segments are evicted as ingest rolls on.
-	s, err := CreateFromDataset(dir, d, Options{SegmentSize: persistSegSize, MemCap: 32 << 10, PageBytes: 16 << 10})
+	s, err := CreateFromDataset(dir, d, Options{SegmentSize: persistSegSize, MemCap: 32 << 10})
 	if err != nil {
 		t.Fatalf("CreateFromDataset: %v", err)
 	}
@@ -196,8 +196,8 @@ func TestSpillUnderMemCapByteIdentical(t *testing.T) {
 		t.Fatalf("spilled answers differ from resident answers")
 	}
 	st = s.TierStats()
-	if st.PagerHits+st.PagerMisses == 0 {
-		t.Fatalf("queries over spilled segments never touched the pager")
+	if st.PagerMisses == 0 {
+		t.Fatalf("queries over spilled segments never read a segment file back")
 	}
 	// Repeat: answers stay identical while segments promote/evict.
 	if got := queryFingerprint(t, s.Snapshot()); !fingerprintsEqual(got, want) {

@@ -1,30 +1,37 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 )
 
 // A segment is an immutable, fully indexed block of exactly segSize rows.
-// The segment value itself is only the handle — global position, row count
-// and tier state; the decoded columns and indexes live in a segData that
-// the handle either holds resident (the in-memory tier) or reloads on
-// demand from its SegmentSource (the spilled tier, backed by the pager and
-// the on-disk segment file). Every reader goes through acquire, so the
-// evaluation kernels are tier-blind. Once built, a segment's data is never
-// mutated — the immutability that gives snapshots their isolation for free.
+// The segment value itself is only the handle — global position, row count,
+// zone maps and tier state; the decoded columns and indexes live in a
+// segData that the handle either holds resident (the in-memory tier) or
+// decodes on demand from its SegmentSource (the spilled tier, backed by
+// the on-disk segment file). Every reader of columns goes through acquire,
+// so the evaluation kernels are tier-blind. Once built, a segment's data
+// is never mutated — the immutability that gives snapshots their
+// isolation for free.
 type segment struct {
 	base  int   // global row index of the segment's first row
 	n     int   // rows in the segment (== the store's segSize)
 	ord   int   // ordinal in the sealed-segment list (names the spill file)
 	bytes int64 // decoded footprint of the segData, for the memory cap
 
+	// zones holds one zone map per schema column, filled at seal time and
+	// persisted in the manifest, so NumRange answers from the handle
+	// without decoding a spilled segment.
+	zones []zone
+
 	tier *tierState
 	src  SegmentSource // durable backing; nil for memory-only segments
 
 	// data is the resident decoded form. Non-nil means the segment is in
-	// the resident tier; nil means it is spilled and acquire reloads it
+	// the resident tier; nil means it is spilled and acquire decodes it
 	// through src. Promotion and eviction flip it with CAS, so a reader
 	// that loaded a non-nil pointer keeps a consistent immutable view even
 	// if the segment is evicted underneath it.
@@ -34,11 +41,38 @@ type segment struct {
 	lastUse atomic.Int64
 }
 
+// zone is one column's zone map: the min and max of its non-NaN values.
+// A column with no non-NaN value (every value NaN, or a categorical
+// column) has the empty zone {+Inf, -Inf}, so "has any non-NaN value" is
+// min <= max and folding zones into a running [lo, hi] needs no special
+// case.
+type zone struct{ min, max float64 }
+
+var emptyZone = zone{math.Inf(1), math.Inf(-1)}
+
+// identical compares bit patterns, so −0 and +0 bounds differ.
+func (z zone) identical(o zone) bool {
+	return math.Float64bits(z.min) == math.Float64bits(o.min) && math.Float64bits(z.max) == math.Float64bits(o.max)
+}
+
+// zonesOf reads every column's zone map off a decoded segment's indexes.
+func zonesOf(d *segData) []zone {
+	zs := make([]zone, len(d.nidx))
+	for j, idx := range d.nidx {
+		zs[j] = emptyZone
+		if len(idx.sorted) > 0 {
+			zs[j] = zone{idx.min, idx.max}
+		}
+	}
+	return zs
+}
+
 // SegmentSource is the tier read abstraction: where a sealed segment's
 // bytes come from when its decoded form is not resident. The only
-// implementation today is the pager-backed segment file (fileSource); the
-// planner, zone-map pruning, shard scatter-gather and EvalBatch never see
-// the difference because they all read columns through segment.acquire.
+// implementation today is the segment file (fileSource), read whole and
+// decoded on every load — the resident tier is the spilled tier's only
+// cache. The planner, shard scatter-gather and EvalBatch never see the
+// difference because they all read columns through segment.acquire.
 type SegmentSource interface {
 	// Load decodes the segment into its evaluable form. The returned
 	// segData is immutable and exactly what buildSegData produced at seal
@@ -48,28 +82,24 @@ type SegmentSource interface {
 	Name() string
 }
 
-// noopRelease is the release of a resident acquire (shared to keep the
-// fast path allocation-free).
-func noopRelease() {}
-
-// acquire returns the segment's decoded data and a release that ends the
-// lease. The fast path — resident data — is one atomic load. A spilled
-// segment is decoded through its SegmentSource (pager-cached pages, column
-// decode, index rebuild) and, when the memory cap has room, promoted back
-// into the resident tier so later queries pay nothing. Decode failures
-// panic: the manifest verified every committed file at Open, so a failure
-// here means the file was corrupted or removed underneath a live store —
-// an invariant violation, not a recoverable condition.
-func (sg *segment) acquire() (*segData, func()) {
+// acquire returns the segment's decoded data. The fast path — resident
+// data — is one atomic load. A spilled segment is decoded through load
+// (one file read, column decode) and, when the memory cap has room,
+// promoted back into the resident tier so later queries pay nothing.
+// Decode failures panic: the manifest verified every committed file at
+// Open, so a failure here means the file was corrupted or removed
+// underneath a live store — an invariant violation, not a recoverable
+// condition.
+func (sg *segment) acquire() *segData {
 	if sg.tier != nil {
 		sg.lastUse.Store(sg.tier.useClock.Add(1))
 	}
 	if d := sg.data.Load(); d != nil {
-		return d, noopRelease
+		return d
 	}
-	d, err := sg.src.Load()
+	d, err := sg.load()
 	if err != nil {
-		panic("store: segment " + sg.src.Name() + " unreadable under a live store: " + err.Error())
+		panic("store: spilled segment unreadable under a live store: " + err.Error())
 	}
 	if sg.tier.admit(sg.bytes) {
 		if sg.data.CompareAndSwap(nil, d) {
@@ -79,7 +109,25 @@ func (sg *segment) acquire() (*segData, func()) {
 			d = sg.data.Load() // another reader promoted first; share its copy
 		}
 	}
-	return d, noopRelease
+	return d
+}
+
+// load decodes the segment from its source and checks the decoded zone
+// maps bit-for-bit against the handle's. NumRange answers from the
+// handle's zones alone, so a disagreement means the manifest and the
+// segment file describe different data: a decode error, so no answer is
+// computed from the segment.
+func (sg *segment) load() (*segData, error) {
+	d, err := sg.src.Load()
+	if err != nil {
+		return nil, err
+	}
+	for j, z := range zonesOf(d) {
+		if h := sg.zones[j]; !z.identical(h) {
+			return nil, fmt.Errorf("store: %s: column %d decodes to zone [%g, %g], manifest says [%g, %g]", sg.src.Name(), j, z.min, z.max, h.min, h.max)
+		}
+	}
+	return d, nil
 }
 
 // evict drops the resident decoded form (the segment must be durably

@@ -119,9 +119,7 @@ func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64
 		segs := s.byShard[active[t]]
 		sw := s.store.getScratch()
 		for _, sg := range segs {
-			d, release := sg.acquire()
-			perSeg(sg, d, *sw)
-			release()
+			perSeg(sg, sg.acquire(), *sw)
 		}
 		s.store.putScratch(sw)
 		return len(segs)

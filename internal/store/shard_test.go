@@ -120,11 +120,11 @@ func batchShapes() [][]Cond {
 	return [][]Cond{
 		nil, // unconstrained: every row
 		{{Col: "x", Op: Ge, V: 5}, {Col: "x", Op: Lt, V: 10}},
-		{{Col: "x", Op: Eq, V: math.NaN()}},  // matches nothing
-		{{Col: "x", Op: Ne, V: math.NaN()}},  // matches everything, incl. NaN
+		{{Col: "x", Op: Eq, V: math.NaN()}}, // matches nothing
+		{{Col: "x", Op: Ne, V: math.NaN()}}, // matches everything, incl. NaN
 		{{Col: "c", Op: Eq, S: "a"}},
-		{{Col: "c", Op: Eq, Str: true}},      // empty string, present in data
-		{{Col: "c", Op: Ne, S: "zzz"}},       // unknown dictionary string
+		{{Col: "c", Op: Eq, Str: true}}, // empty string, present in data
+		{{Col: "c", Op: Ne, S: "zzz"}},  // unknown dictionary string
 		{{Col: "d", Op: Eq, S: "p"}, {Col: "y", Op: Lt, V: 0}},
 		{{Col: "x", Op: Lt, V: 3}, {Col: "x", Op: Gt, V: 17}}, // contradiction
 		{{Col: "x", Op: Eq, V: 7}, {Col: "c", Op: Ne, S: "b"}, {Col: "d", Op: Eq, S: "q"}},

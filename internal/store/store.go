@@ -37,9 +37,11 @@
 // Tiers. A store opened with a data directory (Create/Open) is durable and
 // two-tiered: sealing also writes the segment — raw columns plus its
 // indexes, CRC-checksummed — to disk, and under Options.MemCap decoded
-// segments spill out of memory and are re-read on demand through a
-// pinned-page LRU pager. Every reader goes through segment.acquire, which
-// is tier-blind, so answers are byte-identical wherever the bytes live.
+// segments spill out of memory and are decoded again on demand from one
+// read of their file; the resident tier is the only cache. Every reader
+// goes through segment.acquire, which is tier-blind, so answers are
+// byte-identical wherever the bytes live. Zone maps stay on the segment
+// handle (and in the manifest), so NumRange never decodes.
 // Durability is manifest-based: immutable data files, atomic-rename
 // commits, recovery to the last fully-validated manifest; see manifest.go
 // for the file layout and tier.go for Create/Open/recovery.
@@ -212,7 +214,7 @@ func newStore(attrs []dataset.Attribute, segSize, shards int, dir string, opts O
 		segSize: segSize,
 		dict:    newDict(),
 	}
-	s.tier = newTierState(dir, s.attrs, segSize, opts)
+	s.tier = &tierState{dir: dir, memCap: opts.MemCap, attrs: s.attrs, segSize: segSize, files: map[int]*os.File{}}
 	s.initShards(shards, segSize)
 	s.freshTail()
 	return s, nil
@@ -265,6 +267,7 @@ func (s *Store) sealLocked() error {
 		n:     d.n,
 		ord:   len(s.segs),
 		bytes: d.footprint(),
+		zones: zonesOf(d),
 		tier:  s.tier,
 	}
 	if s.tier.durable() {
@@ -605,8 +608,7 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 		if !anyWord(words) {
 			continue
 		}
-		d, release := sg.acquire()
-		colv := d.nums[col]
+		colv := sg.acquire().nums[col]
 		for wi, w := range words {
 			if w == 0 {
 				continue
@@ -617,7 +619,6 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 				w &= w - 1
 			}
 		}
-		release()
 	}
 	if s.tailLen > 0 {
 		base := len(s.segs) * s.store.segSize
@@ -635,10 +636,7 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 // non-numeric column or out-of-range row, mirroring slice indexing.
 func (s *Snapshot) Float(i, col int) float64 {
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		d, release := s.segs[sg].acquire()
-		v := d.nums[col][i%s.store.segSize]
-		release()
-		return v
+		return s.segs[sg].acquire().nums[col][i%s.store.segSize]
 	}
 	return s.tailNums[col][i-len(s.segs)*s.store.segSize]
 }
@@ -647,9 +645,7 @@ func (s *Snapshot) Float(i, col int) float64 {
 func (s *Snapshot) Cat(i, col int) string {
 	var code uint32
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		d, release := s.segs[sg].acquire()
-		code = d.cats[col][i%s.store.segSize]
-		release()
+		code = s.segs[sg].acquire().cats[col][i%s.store.segSize]
 	} else {
 		code = s.tailCats[col][i-len(s.segs)*s.store.segSize]
 	}
@@ -659,25 +655,21 @@ func (s *Snapshot) Cat(i, col int) string {
 // NumRange returns the minimum and maximum of numeric column col over the
 // snapshot, skipping NaN values exactly like a plain `v < lo / v > hi`
 // sweep would (+Inf, -Inf when no comparable value exists). Sealed
-// segments answer straight from their zone maps — the zone map of a
-// spilled segment still costs an acquire, but never a column sweep.
+// segments answer from the zone maps on their handles, so a spilled
+// segment is never decoded.
 func (s *Snapshot) NumRange(col int) (lo, hi float64) {
 	if s.store.attrs[col].Kind != dataset.Numeric {
 		panic(fmt.Sprintf("store: attribute %q is not numeric", s.store.attrs[col].Name))
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, sg := range s.segs {
-		d, release := sg.acquire()
-		idx := &d.nidx[col]
-		if len(idx.sorted) > 0 {
-			if idx.min < lo {
-				lo = idx.min
-			}
-			if idx.max > hi {
-				hi = idx.max
-			}
+		z := sg.zones[col]
+		if z.min < lo {
+			lo = z.min
 		}
-		release()
+		if z.max > hi {
+			hi = z.max
+		}
 	}
 	colv := s.tailNums[col]
 	for i := 0; i < s.tailLen; i++ {
@@ -707,7 +699,7 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 	// Segment-outer order so each spilled segment is decoded once for all
 	// of its columns, not once per column.
 	for _, sg := range s.segs {
-		d, release := sg.acquire()
+		d := sg.acquire()
 		for j, a := range s.store.attrs {
 			if a.Kind == dataset.Numeric {
 				nums[j] = append(nums[j], d.nums[j]...)
@@ -717,7 +709,6 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 				}
 			}
 		}
-		release()
 	}
 	for j, a := range s.store.attrs {
 		if a.Kind == dataset.Numeric {

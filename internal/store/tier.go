@@ -19,8 +19,9 @@ import (
 // forever, while a durable store (Create/Open) writes each sealed segment
 // to its own checksummed file at seal time and may then evict the decoded
 // form under a memory cap — the segment stays queryable through its
-// SegmentSource, which decodes pages leased from the store's pager.
-// Promotion is read-through: an acquire of a spilled segment re-admits it
+// SegmentSource, which reads the whole file with one ReadAt and decodes
+// it. The decoded resident tier is the spilled tier's only cache:
+// promotion is read-through, an acquire of a spilled segment re-admits it
 // to the resident tier whenever the cap has room.
 
 // Process-wide tier gauges, aggregated over every live (un-Closed) store
@@ -28,19 +29,16 @@ import (
 // reference. Memory-only stores count toward the resident gauge too — a
 // serve process without -datadir reports its whole store resident.
 var (
-	gSegResident    atomic.Int64
-	gSegSpilled     atomic.Int64
-	gPagerHits      atomic.Int64
-	gPagerMisses    atomic.Int64
-	gPagerEvictions atomic.Int64
+	gSegResident  atomic.Int64
+	gSegSpilled   atomic.Int64
+	gSpilledReads atomic.Int64
 )
 
 // TierGauges reports the process-wide tier gauges: resident and spilled
-// sealed-segment counts across live stores, and cumulative pager hits,
-// misses and evictions.
-func TierGauges() (resident, spilled, pagerHits, pagerMisses, pagerEvictions int64) {
-	return gSegResident.Load(), gSegSpilled.Load(), gPagerHits.Load(),
-		gPagerMisses.Load(), gPagerEvictions.Load()
+// sealed-segment counts across live stores, and the cumulative count of
+// spilled-segment reads from disk (one whole-file read per decode).
+func TierGauges() (resident, spilled, spilledReads int64) {
+	return gSegResident.Load(), gSegSpilled.Load(), gSpilledReads.Load()
 }
 
 // Options configures a durable store.
@@ -55,16 +53,12 @@ type Options struct {
 	// MemCap caps the decoded resident bytes of sealed segments; 0 means
 	// uncapped (segments are still persisted, never evicted).
 	MemCap int64
-	// PageBytes caps the pager's page cache; 0 derives it from MemCap
-	// (or 64 MiB when MemCap is 0 too).
-	PageBytes int64
 }
 
 // tierState is the per-store tier bookkeeping shared by its segments.
 type tierState struct {
 	dir     string // "" for memory-only stores
 	memCap  int64
-	pg      *pager
 	attrs   []dataset.Attribute
 	segSize int
 
@@ -72,29 +66,11 @@ type tierState struct {
 	residentBytes atomic.Int64 // decoded bytes admitted to the resident tier
 	residentSegs  atomic.Int64
 	spilledSegs   atomic.Int64
+	spilledReads  atomic.Int64 // segment files read back to decode a spilled segment
 
 	fmu    sync.Mutex
 	files  map[int]*os.File // ord → open segment file
 	closed bool
-}
-
-func newTierState(dir string, attrs []dataset.Attribute, segSize int, opts Options) *tierState {
-	pageBytes := opts.PageBytes
-	if pageBytes <= 0 {
-		if opts.MemCap > 0 {
-			pageBytes = opts.MemCap
-		} else {
-			pageBytes = 64 << 20
-		}
-	}
-	return &tierState{
-		dir:     dir,
-		memCap:  opts.MemCap,
-		pg:      newPager(DefaultPageSize, pageBytes),
-		attrs:   attrs,
-		segSize: segSize,
-		files:   map[int]*os.File{},
-	}
 }
 
 // durable reports whether the tier has a backing directory.
@@ -182,7 +158,8 @@ func (t *tierState) close() {
 }
 
 // fileSource is the SegmentSource for a sealed segment persisted in the
-// store directory: it decodes the segment file through the store's pager.
+// store directory: each Load reads the whole segment file with one ReadAt
+// and decodes it straight out of that buffer.
 type fileSource struct {
 	t       *tierState
 	ord     int
@@ -199,44 +176,45 @@ func (fs *fileSource) Load() (*segData, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &blockReader{
-		src:  f,
-		size: fs.size,
-		name: fs.name,
-		read: func(off int64, dst []byte) error {
-			return fs.t.pg.readAt(uint32(fs.ord), f, fs.size, off, dst)
-		},
+	buf := make([]byte, fs.size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, fmt.Errorf("store: read %s: %w", fs.name, err)
 	}
-	_, d, err := decodeBlock(br, segMagic, fs.t.attrs, true)
+	fs.t.spilledReads.Add(1)
+	gSpilledReads.Add(1)
+	_, d, err := decodeBlock(&blockReader{buf: buf, name: fs.name}, segMagic, fs.t.attrs, true)
 	if err == nil && d.n != fs.t.segSize {
 		return nil, fmt.Errorf("store: %s: %d rows, segment size is %d", fs.name, d.n, fs.t.segSize)
 	}
 	return d, err
 }
 
-// TierStats is a point-in-time view of one store's tier state.
+// TierStats is a point-in-time view of one store's tier state. The
+// decoded resident tier is the spilled tier's only cache, so of the four
+// Pager fields, kept for existing readers, only PagerMisses moves.
 type TierStats struct {
 	Resident      int   // sealed segments whose decoded form is in memory
-	Spilled       int   // sealed segments served through the pager
+	Spilled       int   // sealed segments decoded from their file on each acquire
 	ResidentBytes int64 // decoded bytes admitted against MemCap
-	PagerHits     int64
-	PagerMisses   int64
+	// PagerHits is always 0: there is no page cache to hit.
+	PagerHits int64
+	// PagerMisses counts spilled-segment reads from disk, one whole-file
+	// read per decode.
+	PagerMisses int64
+	// PagerEvictions is always 0: there is no page cache to evict from.
 	PagerEvictions int64
-	PagerBytes    int64
+	// PagerBytes is always 0: no file bytes are cached.
+	PagerBytes int64
 }
 
 // TierStats reports the store's tier counters.
 func (s *Store) TierStats() TierStats {
 	t := s.tier
-	ps := t.pg.stats()
 	return TierStats{
-		Resident:       int(t.residentSegs.Load()),
-		Spilled:        int(t.spilledSegs.Load()),
-		ResidentBytes:  t.residentBytes.Load(),
-		PagerHits:      ps.hits,
-		PagerMisses:    ps.misses,
-		PagerEvictions: ps.evictions,
-		PagerBytes:     ps.bytes,
+		Resident:      int(t.residentSegs.Load()),
+		Spilled:       int(t.spilledSegs.Load()),
+		ResidentBytes: t.residentBytes.Load(),
+		PagerMisses:   t.spilledReads.Load(),
 	}
 }
 
@@ -315,8 +293,10 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // Open recovers the store committed in dir: it adopts the newest manifest
 // whose checksum and every referenced file's checksum verify (deleting
 // torn newer ones), loads the committed dictionary prefix and tail, and
-// registers every sealed segment as spilled — decoded forms stream back in
-// through the pager as queries touch them. The epoch is bumped and
+// registers every sealed segment as spilled, with the zone maps the
+// manifest records — decoded forms come back one file read at a time as
+// queries touch them. A manifest written before zone maps were persisted
+// has them filled by decoding each segment once. The epoch is bumped and
 // committed before the store is returned, so snapshot versions from this
 // incarnation can never collide with versions any previous incarnation may
 // have handed out after its last commit.
@@ -364,9 +344,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return fail(err)
 	}
 
-	// Sealed segments: handles only, all spilled. Decoded footprints come
-	// from the manifest so the memory cap can account a segment it has
-	// never decoded.
+	// Sealed segments: handles only, all spilled. Decoded footprints and
+	// zone maps come from the manifest so the memory cap can account, and
+	// NumRange answer for, a segment that has never been decoded.
 	segs := make([]*segment, len(m.Segments))
 	for i := range m.Segments {
 		b := &m.Segments[i]
@@ -375,8 +355,19 @@ func Open(dir string, opts Options) (*Store, error) {
 			n:     b.Rows,
 			ord:   i,
 			bytes: b.Decoded,
+			zones: decodeZones(b.Zones),
 			tier:  s.tier,
 			src:   &fileSource{t: s.tier, ord: i, name: b.File, size: b.Size, crc: b.CRC, decoded: b.Decoded},
+		}
+		if sg.zones == nil {
+			// Legacy manifest: decode once so this Open's commit records
+			// the zones.
+			d, err := sg.src.Load()
+			if err != nil {
+				s.dictF.Close()
+				return fail(err)
+			}
+			sg.zones = zonesOf(d)
 		}
 		segs[i] = sg
 	}
@@ -442,21 +433,11 @@ func (s *Store) loadDict(m *manifest) error {
 
 // loadTail decodes the committed tail file into fresh tail buffers.
 func (s *Store) loadTail(b *manifestBlock) error {
-	f, err := os.Open(filepath.Join(s.tier.dir, b.File))
+	buf, err := os.ReadFile(filepath.Join(s.tier.dir, b.File))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br := &blockReader{
-		src:  f,
-		size: b.Size,
-		name: b.File,
-		read: func(off int64, dst []byte) error {
-			_, err := f.ReadAt(dst, off)
-			return err
-		},
-	}
-	_, d, err := decodeBlock(br, tailMagic, s.attrs, false)
+	_, d, err := decodeBlock(&blockReader{buf: buf, name: b.File}, tailMagic, s.attrs, false)
 	if err != nil {
 		return err
 	}
@@ -526,7 +507,7 @@ func (s *Store) commitLocked() error {
 	m.Segments = make([]manifestBlock, len(s.segs))
 	for i, sg := range s.segs {
 		src := sg.src.(*fileSource)
-		m.Segments[i] = manifestBlock{File: src.name, Rows: sg.n, Size: src.size, CRC: src.crc, Decoded: src.decoded}
+		m.Segments[i] = manifestBlock{File: src.name, Rows: sg.n, Size: src.size, CRC: src.crc, Decoded: src.decoded, Zones: encodeZones(sg.zones)}
 	}
 	var tailName string
 	if s.tailLen > 0 {

@@ -1,0 +1,290 @@
+package store
+
+import (
+	"math"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"privacy3d/internal/dataset"
+)
+
+const zoneSegSize = 64
+
+// zoneEdgeStore creates a durable store of three sealed 64-row segments
+// plus a short tail whose numeric columns hit every zone-map edge case:
+//
+//	a: segment 0 starts with −0 (min is −0), segment 1 with +0 (min is +0);
+//	b: segment 0 spans −Inf..+Inf, segment 1 is all +Inf;
+//	c: NaN on every third row, and segment 2 is all NaN (the empty zone).
+func zoneEdgeStore(t *testing.T, dir string, opts Options) *Store {
+	t.Helper()
+	attrs := []dataset.Attribute{
+		{Name: "a", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
+		{Name: "b", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
+		{Name: "c", Role: dataset.Confidential, Kind: dataset.Numeric},
+		{Name: "k", Role: dataset.Confidential, Kind: dataset.Nominal},
+	}
+	opts.SegmentSize = zoneSegSize
+	s, err := Create(dir, attrs, opts)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < 3*zoneSegSize+10; i++ {
+		seg, r := i/zoneSegSize, i%zoneSegSize
+		a := float64(r)
+		switch {
+		case r == 0 && seg == 0:
+			a = negZero
+		case r == 1 && seg == 0:
+			a = 0
+		case r == 0 && seg == 1:
+			a = 0
+		case r == 1 && seg == 1:
+			a = negZero
+		}
+		b := float64(r) - 30
+		switch {
+		case seg == 0 && r == 5:
+			b = math.Inf(-1)
+		case seg == 0 && r == 6:
+			b = math.Inf(1)
+		case seg == 1:
+			b = math.Inf(1)
+		}
+		c := float64(i%17) - 8
+		if i%3 == 0 || seg == 2 {
+			c = math.NaN()
+		}
+		if err := s.Append(a, b, c, []string{"x", "y"}[i%2]); err != nil {
+			t.Fatalf("Append row %d: %v", i, err)
+		}
+	}
+	return s
+}
+
+// rewriteNewestManifest applies edit to the newest committed manifest and
+// commits it back under the same sequence with a valid checksum, as a
+// writer with different zone-map behaviour would have.
+func rewriteNewestManifest(t *testing.T, dir string, edit func(m *manifest)) {
+	t.Helper()
+	seqs, err := listManifests(dir)
+	if err != nil || len(seqs) == 0 {
+		t.Fatalf("listManifests: %v (%d found)", err, len(seqs))
+	}
+	m, err := readManifest(filepath.Join(dir, manifestFileName(seqs[0])))
+	if err != nil {
+		t.Fatalf("readManifest: %v", err)
+	}
+	edit(m)
+	if err := writeManifest(dir, seqs[0], m); err != nil {
+		t.Fatalf("writeManifest: %v", err)
+	}
+}
+
+func TestZonesRoundTripExactlyThroughColdOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := zoneEdgeStore(t, dir, Options{})
+	var want [][]zone
+	for _, sg := range s.Snapshot().segs {
+		want = append(want, sg.zones)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		seg, col int
+		want     zone
+	}{
+		{0, 0, zone{negZero, 63}},
+		{1, 0, zone{0, 63}},
+		{0, 1, zone{math.Inf(-1), math.Inf(1)}},
+		{1, 1, zone{math.Inf(1), math.Inf(1)}},
+		{2, 2, emptyZone},
+		{0, 3, emptyZone},
+	} {
+		if got := want[c.seg][c.col]; !got.identical(c.want) {
+			t.Errorf("sealed segment %d column %d zone = %v, want %v", c.seg, c.col, got, c.want)
+		}
+	}
+
+	r, err := Open(dir, Options{MemCap: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	segs := r.Snapshot().segs
+	if len(segs) != len(want) {
+		t.Fatalf("cold open has %d segments, want %d", len(segs), len(want))
+	}
+	for i, sg := range segs {
+		for j := range want[i] {
+			if !sg.zones[j].identical(want[i][j]) {
+				t.Errorf("segment %d column %d: cold zone %v, sealed %v", i, j, sg.zones[j], want[i][j])
+			}
+		}
+		// The decode check passes on honest data.
+		if _, err := sg.load(); err != nil {
+			t.Errorf("segment %d: load: %v", i, err)
+		}
+	}
+}
+
+// TestNumRangeColdCappedNeedsNoDecode pins that NumRange on a cold-opened,
+// capped store answers from the zone maps on the handles — zero spilled
+// reads — and equals a plain comparison sweep over the materialized rows.
+func TestNumRangeColdCappedNeedsNoDecode(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		create func(t *testing.T, dir string) *Store
+	}{
+		{"trial", func(t *testing.T, dir string) *Store { return createPersistStore(t, dir, persistTestRows, Options{}) }},
+		{"edge", func(t *testing.T, dir string) *Store { return zoneEdgeStore(t, dir, Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.create(t, dir).Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			r, err := Open(dir, Options{MemCap: 32 << 10})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer r.Close()
+			snap := r.Snapshot()
+			got := map[int]zone{}
+			for j, a := range snap.Attrs() {
+				if a.Kind == dataset.Numeric {
+					lo, hi := snap.NumRange(j)
+					got[j] = zone{lo, hi}
+				}
+			}
+			if reads := r.TierStats().PagerMisses; reads != 0 {
+				t.Fatalf("NumRange on a cold store performed %d spilled reads, want 0", reads)
+			}
+			m := snap.Materialize()
+			for j, g := range got {
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for i := 0; i < m.Rows(); i++ {
+					v := m.Float(i, j)
+					if v < lo {
+						lo = v
+					}
+					if v > hi {
+						hi = v
+					}
+				}
+				if !g.identical(zone{lo, hi}) {
+					t.Errorf("column %d: NumRange = [%v, %v], sweep = [%v, %v]", j, g.min, g.max, lo, hi)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyManifestWithoutZonesOpens pins the upgrade path: a manifest
+// written before zone maps were persisted opens, answers byte-identically,
+// and the commit Open makes records the zones.
+func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
+	dir := t.TempDir()
+	s := createPersistStore(t, dir, persistTestRows, Options{})
+	want := queryFingerprint(t, s.Snapshot())
+	var wantZones [][]zone
+	for _, sg := range s.Snapshot().segs {
+		wantZones = append(wantZones, sg.zones)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rewriteNewestManifest(t, dir, func(m *manifest) {
+		for i := range m.Segments {
+			m.Segments[i].Zones = nil
+		}
+	})
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open legacy manifest: %v", err)
+	}
+	defer r.Close()
+	if got := queryFingerprint(t, r.Snapshot()); !fingerprintsEqual(got, want) {
+		t.Fatalf("legacy-manifest answers differ")
+	}
+	m, err := readManifest(newestManifest(t, dir))
+	if err != nil {
+		t.Fatalf("readManifest: %v", err)
+	}
+	if len(m.Segments) != len(wantZones) {
+		t.Fatalf("committed manifest has %d segments, want %d", len(m.Segments), len(wantZones))
+	}
+	for i, b := range m.Segments {
+		zs := decodeZones(b.Zones)
+		if len(zs) != len(wantZones[i]) {
+			t.Fatalf("segment %d: committed %d zone maps, want %d", i, len(zs), len(wantZones[i]))
+		}
+		for j := range zs {
+			if !zs[j].identical(wantZones[i][j]) {
+				t.Errorf("segment %d column %d: committed zone %v, want %v", i, j, zs[j], wantZones[i][j])
+			}
+		}
+	}
+}
+
+// TestZonesLengthMismatchFallsBackToPreviousCommit pins that a commit
+// whose zones array does not match the schema is invalid like a torn one:
+// validation reports an error and Open adopts the previous commit.
+func TestZonesLengthMismatchFallsBackToPreviousCommit(t *testing.T) {
+	dir := t.TempDir()
+	s := createPersistStore(t, dir, 3*persistSegSize, Options{})
+	if err := s.Append(170.0, 70.0, 50.0, 50.0, 120.0, "N"); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rewriteNewestManifest(t, dir, func(m *manifest) {
+		m.Segments[1].Zones = m.Segments[1].Zones[:len(m.Segments[1].Zones)-1]
+	})
+	m, err := readManifest(newestManifest(t, dir))
+	if err != nil {
+		t.Fatalf("readManifest: %v", err)
+	}
+	if err := validateManifest(dir, m); err == nil || !strings.Contains(err.Error(), "zone maps") {
+		t.Fatalf("validateManifest = %v, want a zone-map count error", err)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	if r.Rows() != 3*persistSegSize {
+		t.Fatalf("recovered %d rows, want the previous commit's %d", r.Rows(), 3*persistSegSize)
+	}
+}
+
+// TestZoneSegmentDisagreementIsDecodeError pins that a manifest zone the
+// segment file does not bear out fails the segment's decode with an error.
+func TestZoneSegmentDisagreementIsDecodeError(t *testing.T) {
+	dir := t.TempDir()
+	if err := createPersistStore(t, dir, 3*persistSegSize, Options{}).Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rewriteNewestManifest(t, dir, func(m *manifest) {
+		z := &m.Segments[2].Zones[0]
+		z[1] = math.Float64bits(math.Float64frombits(z[1]) + 1) // still a valid interval
+	})
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	segs := r.Snapshot().segs
+	if _, err := segs[1].load(); err != nil {
+		t.Fatalf("untouched segment 1: load: %v", err)
+	}
+	if _, err := segs[2].load(); err == nil || !strings.Contains(err.Error(), "zone") {
+		t.Fatalf("segment 2 with a wrong zone: load = %v, want a zone disagreement error", err)
+	}
+}
