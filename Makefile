@@ -9,11 +9,14 @@ all: build vet test
 # (internal/par and every kernel on it) and the concurrent HTTP serving
 # layer rely on -race to enforce their data-race guarantees on every change
 # — and one short-mode pass over the benchmarks (-benchtime 1x) so
-# benchmark code cannot bit-rot.
+# benchmark code cannot bit-rot. The perfbench harness is a module of its
+# own (perfbench/go.mod), so ./... never reaches it: check vets and tests it
+# separately, so an internal API change that breaks the benchmark fails here.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # lint runs go vet plus the generated-documentation consistency tests: the
 # CLI help, the `schema -methods` table and the README/EXPERIMENTS method

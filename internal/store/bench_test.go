@@ -56,6 +56,38 @@ func BenchmarkEvalScan100k(b *testing.B) {
 	}
 }
 
+// The band pair above selects a sliver of each segment. The threshold pair
+// below selects most of it: a one-sided height threshold matches ~70% of
+// rows, where filling the cheaper side of a conjunct pays off.
+var (
+	thresholdConds = []Cond{{Col: "height", Op: Lt, V: 175}}
+	conjBroadConds = []Cond{
+		{Col: "aids", Op: Eq, S: "Y", Str: true},
+		{Col: "height", Op: Lt, V: 175},
+	}
+)
+
+func benchEvalOnly(b *testing.B, conds []Cond, minShare, maxShare float64) {
+	snap := benchSnapshot(b, 100_000)
+	bm, err := snap.Eval(conds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if share := float64(bm.Count()) / float64(snap.Rows()); share < minShare || share > maxShare {
+		b.Fatalf("selection covers %.2f of the rows, want [%.2f, %.2f]", share, minShare, maxShare)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.Eval(conds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEvalThreshold100k(b *testing.B) { benchEvalOnly(b, thresholdConds, 0.6, 0.8) }
+
+func BenchmarkEvalConjBroad100k(b *testing.B) { benchEvalOnly(b, conjBroadConds, 0.01, 0.8) }
+
 // BenchmarkEvalBatch8x100k evaluates eight predicates in one sharded column
 // sweep; BenchmarkEvalLoop8x100k answers the same eight one Eval at a time —
 // the pair quantifies what the batch amortises.

@@ -156,5 +156,16 @@ func countWords(ws []uint64) int {
 // setBit marks local row r in a word window.
 func setBit(ws []uint64, r uint32) { ws[r>>6] |= 1 << (r & 63) }
 
-// clearBit unmarks local row r in a word window.
-func clearBit(ws []uint64, r uint32) { ws[r>>6] &^= 1 << (r & 63) }
+// setRows marks every local row of rows in a word window.
+func setRows(ws []uint64, rows []uint32) {
+	for _, r := range rows {
+		ws[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// clearRows unmarks every local row of rows in a word window.
+func clearRows(ws []uint64, rows []uint32) {
+	for _, r := range rows {
+		ws[r>>6] &^= 1 << (r & 63)
+	}
+}

@@ -287,206 +287,140 @@ func buildCatIndex(col []uint32) catIndex {
 }
 
 // eval evaluates a planned conjunction over the segment into words, the
-// segment's word-aligned window of the snapshot bitmap (len n/64). scratch
-// is a caller-owned window of the same length. The result is exactly the
-// rows a row-at-a-time scan would match.
+// segment's word-aligned window of the snapshot bitmap (len n/64, zero on
+// entry). scratch is a caller-owned window of the same length. The result
+// is exactly the rows a row-at-a-time scan would match.
+//
+// Every conjunct first resolves to a span (zone map, then binary search).
+// Then each span costs min(k, n−k) bit writes for its k matching rows: at
+// most n/2 matches are scattered, more are written as a word fill that
+// clears the n−k failing rows. The span with the fewest matches fills the
+// window. A later span whose failing rows are fewer clears them straight
+// in the window; only a later span scattering its matches needs scratch,
+// zeroed, filled and ANDed in.
 func (d *segData) eval(p *plan, words, scratch []uint64) {
-	first := true
-	for i := range p.ivs {
-		if !d.step(&first, words, scratch, func(out []uint64) { d.evalInterval(&p.ivs[i], out) }) {
-			return
+	var buf [4]span // keeps the spans of a typical plan off the heap
+	sps := buf[:0]
+	for i := 0; i < len(p.ivs)+len(p.rest); i++ {
+		var sp span
+		if i < len(p.ivs) {
+			sp = d.intervalSpan(&p.ivs[i])
+		} else {
+			sp = d.equalSpan(p.rest[i-len(p.ivs)])
+		}
+		if sp.k == 0 {
+			return // no row matches: the window stays empty
+		}
+		if sp.k == d.n {
+			continue // every row matches: the conjunct constrains nothing here
+		}
+		sps = append(sps, sp)
+		if last := len(sps) - 1; sp.k < sps[0].k {
+			sps[0], sps[last] = sps[last], sps[0]
 		}
 	}
-	for i := range p.rest {
-		if !d.step(&first, words, scratch, func(out []uint64) { d.evalCond(p.rest[i], out) }) {
-			return
-		}
+	if len(sps) == 0 {
+		setAllSegment(words, d.n)
+		return
 	}
-	if first {
-		setAllWords(words)
+	for i := range sps {
+		sp := &sps[i]
+		switch {
+		case 2*sp.k > d.n:
+			if i == 0 {
+				setAllSegment(words, d.n)
+			}
+			sp.rows(words, false, clearRows)
+		case i == 0:
+			sp.rows(words, true, setRows)
+		default:
+			zeroWords(scratch)
+			sp.rows(scratch, true, setRows)
+			andWords(words, scratch)
+		}
+		if i+1 < len(sps) && !anyWord(words) {
+			return // the conjunction is already empty: skip the rest
+		}
 	}
 }
 
-// step runs one conjunct: the first fills words directly, later ones fill
-// scratch and intersect. Returns false once the conjunction is empty, so
-// remaining indexes are skipped.
-func (d *segData) step(first *bool, words, scratch []uint64, fill func([]uint64)) bool {
-	if *first {
-		fill(words)
-		*first = false
-		return anyWord(words)
-	}
-	zeroWords(scratch)
-	fill(scratch)
-	andWords(words, scratch)
-	return anyWord(words)
+// span is one conjunct resolved against a segment. The rows perm[lo:hi]
+// are inside it; every other row (the rest of perm, plus the nan rows of a
+// numeric column) is outside. An interval or categorical = matches the
+// inside, a != matches the outside: NaN rows and absent codes fail every
+// interval and pass every !=, exactly as the scan path treats them. k is
+// the number of matching rows.
+type span struct {
+	perm, nan []uint32
+	lo, hi, k int
+	out       bool
 }
 
-// evalInterval fills out with the rows inside one merged interval — a
-// single contiguous range of the sorted permutation found by two binary
-// searches, however many range conditions produced it. NaN rows are not in
-// perm, so they fail the interval exactly as they fail every ordered
-// comparison in the scan path.
-func (d *segData) evalInterval(iv *numInterval, out []uint64) {
+// rows applies op to the span's matching rows (match) or its failing ones.
+func (sp *span) rows(ws []uint64, match bool, op func([]uint64, []uint32)) {
+	if match != sp.out {
+		op(ws, sp.perm[sp.lo:sp.hi])
+		return
+	}
+	op(ws, sp.perm[:sp.lo])
+	op(ws, sp.perm[sp.hi:])
+	op(ws, sp.nan)
+}
+
+// intervalSpan resolves one merged interval: a single contiguous range of
+// the sorted permutation found by two binary searches, however many range
+// conditions produced it. The zone map settles the segment first: an
+// interval disjoint from [min,max] matches nothing, and one covering
+// [min,max] of a NaN-free column matches everything, without a search.
+func (d *segData) intervalSpan(iv *numInterval) span {
 	idx := &d.nidx[iv.col]
-	if len(idx.sorted) == 0 {
-		return // every value NaN; NaN fails every interval
+	sp := span{perm: idx.perm, nan: idx.nan}
+	switch {
+	case len(idx.sorted) == 0, iv.lo > idx.max, iv.lo == idx.max && !iv.loIncl,
+		iv.hi < idx.min, iv.hi == idx.min && !iv.hiIncl:
+		return sp
+	case len(idx.nan) == 0 && (iv.lo < idx.min || iv.lo == idx.min && iv.loIncl) &&
+		(iv.hi > idx.max || iv.hi == idx.max && iv.hiIncl):
+		sp.k = d.n
+		return sp
 	}
-	// Zone-map skip: the interval is disjoint from [min,max], so no row can
-	// match — the whole segment is skipped without touching the sorted index.
-	if iv.lo > idx.max || (iv.lo == idx.max && !iv.loIncl) ||
-		iv.hi < idx.min || (iv.hi == idx.min && !iv.hiIncl) {
-		return
-	}
-	// Zone-map accept: [min,max] lies inside the interval and the segment has
-	// no NaN rows, so every row matches — one word fill, no binary searches.
-	if len(idx.perm) == d.n &&
-		(iv.lo < idx.min || (iv.lo == idx.min && iv.loIncl)) &&
-		(iv.hi > idx.max || (iv.hi == idx.max && iv.hiIncl)) {
-		setAllSegment(out, d.n)
-		return
-	}
-	var lo, hi int
 	if iv.loIncl {
-		lo = lowerBound(idx.sorted, iv.lo)
+		sp.lo = lowerBound(idx.sorted, iv.lo)
 	} else {
-		lo = upperBound(idx.sorted, iv.lo)
+		sp.lo = upperBound(idx.sorted, iv.lo)
 	}
 	if iv.hiIncl {
-		hi = upperBound(idx.sorted, iv.hi)
+		sp.hi = upperBound(idx.sorted, iv.hi)
 	} else {
-		hi = lowerBound(idx.sorted, iv.hi)
+		sp.hi = lowerBound(idx.sorted, iv.hi)
 	}
-	for _, r := range idx.perm[lo:hi] {
-		setBit(out, r)
-	}
+	sp.k = sp.hi - sp.lo
+	return sp
 }
 
-// evalCond fills out (assumed zero) with the rows matching one condition,
-// via the column's index — never a row sweep.
-func (d *segData) evalCond(c compiledCond, out []uint64) {
+// equalSpan resolves a residual condition — numeric != or categorical
+// =/!= — to the equal range of its value, which is empty when the value is
+// NaN, absent from the dictionary or outside the zone map.
+func (d *segData) equalSpan(c compiledCond) span {
+	var sp span
 	if c.numeric {
-		d.evalNum(c, out)
+		idx := &d.nidx[c.col]
+		sp = span{perm: idx.perm, nan: idx.nan, out: true} // the planner leaves only != here
+		if len(idx.sorted) > 0 && c.v >= idx.min && c.v <= idx.max {
+			sp.lo, sp.hi = lowerBound(idx.sorted, c.v), upperBound(idx.sorted, c.v)
+		}
 	} else {
-		d.evalCat(c, out)
-	}
-}
-
-func (d *segData) evalNum(c compiledCond, out []uint64) {
-	idx := &d.nidx[c.col]
-	if math.IsNaN(c.v) {
-		// v OP NaN is false for every ordered comparison and for ==;
-		// v != NaN is true for every v (including NaN).
-		if c.op == Ne {
-			setAllSegment(out, d.n)
-		}
-		return
-	}
-	if len(idx.sorted) == 0 {
-		// Every value NaN: fails everything except !=.
-		if c.op == Ne {
-			setAllSegment(out, d.n)
-		}
-		return
-	}
-	// Zone-map skip/accept: when [min,max] puts the whole segment on one
-	// side of the comparison, answer without a binary search. Accepting all
-	// additionally requires no NaN rows (perm covers the segment); Ne's
-	// accept does not, since NaN != v.
-	allNonNaN := len(idx.perm) == d.n
-	switch c.op {
-	case Lt:
-		if c.v <= idx.min {
-			return
-		}
-		if c.v > idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Le:
-		if c.v < idx.min {
-			return
-		}
-		if c.v >= idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Gt:
-		if c.v >= idx.max {
-			return
-		}
-		if c.v < idx.min && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Ge:
-		if c.v > idx.max {
-			return
-		}
-		if c.v <= idx.min && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Eq:
-		if c.v < idx.min || c.v > idx.max {
-			return
-		}
-		if c.v == idx.min && c.v == idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Ne:
-		if c.v < idx.min || c.v > idx.max {
-			setAllSegment(out, d.n)
-			return
+		idx := &d.cidx[c.col]
+		sp = span{perm: idx.perm, out: c.op == Ne}
+		if c.codeOK && len(idx.sorted) > 0 && c.code >= idx.min && c.code <= idx.max {
+			sp.lo, sp.hi = lowerBound32(idx.sorted, c.code), upperBound32(idx.sorted, c.code)
 		}
 	}
-	// Range [lo, hi) in the sorted permutation holding the matching rows
-	// (for the positive operators).
-	var lo, hi int
-	switch c.op {
-	case Lt:
-		lo, hi = 0, lowerBound(idx.sorted, c.v)
-	case Le:
-		lo, hi = 0, upperBound(idx.sorted, c.v)
-	case Gt:
-		lo, hi = upperBound(idx.sorted, c.v), len(idx.sorted)
-	case Ge:
-		lo, hi = lowerBound(idx.sorted, c.v), len(idx.sorted)
-	case Eq:
-		lo, hi = lowerBound(idx.sorted, c.v), upperBound(idx.sorted, c.v)
-	case Ne:
-		// Everything (NaN rows included: NaN != v) except the equal range.
-		setAllSegment(out, d.n)
-		for _, r := range idx.perm[lowerBound(idx.sorted, c.v):upperBound(idx.sorted, c.v)] {
-			clearBit(out, r)
-		}
-		return
+	sp.k = sp.hi - sp.lo
+	if sp.out {
+		sp.k = d.n - sp.k
 	}
-	for _, r := range idx.perm[lo:hi] {
-		setBit(out, r)
-	}
-}
-
-func (d *segData) evalCat(c compiledCond, out []uint64) {
-	idx := &d.cidx[c.col]
-	switch c.op {
-	case Eq:
-		if !c.codeOK || len(idx.sorted) == 0 || c.code < idx.min || c.code > idx.max {
-			return // value absent from the dictionary or outside the zone
-		}
-		for _, r := range idx.perm[lowerBound32(idx.sorted, c.code):upperBound32(idx.sorted, c.code)] {
-			setBit(out, r)
-		}
-	case Ne:
-		setAllSegment(out, d.n)
-		if !c.codeOK || len(idx.sorted) == 0 || c.code < idx.min || c.code > idx.max {
-			return
-		}
-		for _, r := range idx.perm[lowerBound32(idx.sorted, c.code):upperBound32(idx.sorted, c.code)] {
-			clearBit(out, r)
-		}
-	}
+	return sp
 }
 
 // setAllSegment fills the window's first n bits (n is a multiple of 64 for

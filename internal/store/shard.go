@@ -66,8 +66,8 @@ func (s *Store) Shards() int { return s.shards }
 func (s *Snapshot) Shards() int { return s.store.shards }
 
 // getScratch leases a segment-width scratch window from the store's pool;
-// putScratch returns it. Scratch is always zeroed before use by the
-// evaluation kernels (segment.step), so a dirty reused window is fine.
+// putScratch returns it. The evaluation kernel (segData.eval) zeroes
+// scratch before each use, so a dirty reused window is fine.
 func (s *Store) getScratch() *[]uint64 {
 	s.scratchGets.Add(1)
 	return s.scratch.Get().(*[]uint64)
@@ -149,12 +149,14 @@ func (sg *segment) window(words []uint64) []uint64 {
 // Eval answers the conjunction via the segment indexes: the conjunction is
 // planned once (range conditions on one column merge into a single
 // interval), then the plan scatters across the shards — each shard task
-// evaluates its own segments locally (zone-map skip, sorted-index binary
-// search, word-parallel intersection) into the segment's disjoint window of
-// the snapshot bitmap, reusing one pooled scratch window — and the
-// unindexed tail falls back to a compiled scan. The gathered bitmap is
-// exact, so the parallelism cannot perturb any answer: byte-identical to
-// the single-threaded path at every worker and shard count.
+// evaluates its own segments locally into the segment's disjoint window of
+// the snapshot bitmap (zone map, then binary searches resolve each conjunct
+// to a permutation range, and each range costs min(k, n−k) bit writes:
+// scatter the k matches or clear the n−k failures; see segData.eval),
+// reusing one pooled scratch window — and the unindexed tail falls back to
+// a compiled scan. The gathered bitmap is exact, so the parallelism cannot
+// perturb any answer: byte-identical to the single-threaded path at every
+// worker and shard count.
 func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
