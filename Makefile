@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race check bench benchall repro examples clean
+.PHONY: all build vet lint test race check fuzz bench benchall repro examples clean
 
 all: build vet test
 
@@ -33,6 +33,13 @@ lint:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$unformatted" || { echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; }
 	$(GO) test ./cmd/privacy3d -run 'TestMethodTableGolden|TestProtectionTableGolden|TestProtectionTableFlagsExist|TestServeFlagsGolden|TestHelpListsEveryMethod|TestProtectionHelpMatchesParser'
+
+# fuzz runs each native fuzz target for 20 s on a local machine: the CSV
+# reader and the sealed-segment decoder. CI and check run only their seed
+# corpora, as part of go test.
+fuzz:
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 20s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 20s
 
 build:
 	$(GO) build ./...

@@ -15,7 +15,7 @@ import (
 
 // On-disk sealed-segment format (little-endian throughout):
 //
-//	magic   8B  "P3DSEG01" (tail files use "P3DTAIL1")
+//	magic   8B  "P3DSEG02" (tail files use "P3DTAIL1")
 //	ncols   u32 column count (must match the schema)
 //	rows    u32 rows in the block
 //	base    u64 global row index of the first row
@@ -23,25 +23,27 @@ import (
 //	  tag   u8  1 = numeric, 2 = categorical
 //	  numeric:     rows × f64 values
 //	               permLen u32, then permLen × u32 perm,
-//	               permLen × f64 sorted, (rows-permLen) × u32 nan rows
+//	               (rows-permLen) × u32 nan rows
 //	  categorical: rows × u32 dictionary codes
-//	               rows × u32 perm, rows × u32 sorted
+//	               rows × u32 perm
 //	crc     u32 CRC-32 (IEEE) over everything before it
 //
-// The indexes (zone maps fall out of sorted[0]/sorted[permLen-1]) are
-// persisted exactly as buildSegData produced them, so a decoded segment is
+// The permutations are persisted exactly as buildSegData produced them,
+// and the zone maps are derived from them and the columns on decode
+// exactly as at seal time, so a decoded segment is
 // bit-for-bit the segData that was sealed — byte-identical answers across
-// tiers reduce to that equality. Tail files persist only the raw columns
-// (permLen == 0 convention is not used; tails simply carry no index
-// sections) because the tail is always evaluated by the compiled scan.
+// tiers reduce to that equality. The v1 format ("P3DSEG01") also carried a
+// sorted copy of every index (permLen × f64 after a numeric perm, rows ×
+// u32 after a categorical one); v1 files still decode, skipping those
+// blocks. Tail files persist only the raw columns because the tail is
+// always evaluated by the compiled scan.
 const (
-	segMagic  = "P3DSEG01"
-	tailMagic = "P3DTAIL1"
+	segMagic   = "P3DSEG02"
+	segMagicV1 = "P3DSEG01"
+	tailMagic  = "P3DTAIL1"
 
 	tagNumeric     = 1
 	tagCategorical = 2
-
-	blockHeaderSize = 8 + 4 + 4 + 8
 )
 
 // crcWriter tees writes into a running CRC-32.
@@ -96,18 +98,23 @@ func (cw *crcWriter) u32s(vals []uint32) error {
 	return nil
 }
 
-// writeBlockFile writes one sealed segment (withIndexes) or tail block to
-// name inside dir via tmp + fsync + atomic rename, returning the final
-// size and CRC (of the whole file, footer included, for manifest
-// validation). nums/cats are the block's columns in schema order; for
-// sealed segments they are the segData's own slices.
-func writeBlockFile(dir, name, magic string, base int, rows int, nums [][]float64, cats [][]uint32, idx *segData) (int64, uint32, error) {
+// writeBlockFile writes one sealed segment (idx non-nil, in the current
+// segment format) or tail block to name inside dir via tmp + fsync +
+// atomic rename, returning the final size and CRC (of the whole file,
+// footer included, for manifest validation). nums/cats are the block's
+// columns in schema order; for sealed segments they are the segData's own
+// slices.
+func writeBlockFile(dir, name string, base int, rows int, nums [][]float64, cats [][]uint32, idx *segData) (int64, uint32, error) {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return 0, 0, err
 	}
 	defer os.Remove(tmp.Name())
 	cw := &crcWriter{w: bufio.NewWriter(tmp)}
+	magic := tailMagic
+	if idx != nil {
+		magic = segMagic
+	}
 	if err := cw.bytes([]byte(magic)); err != nil {
 		return 0, 0, err
 	}
@@ -138,9 +145,6 @@ func writeBlockFile(dir, name, magic string, base int, rows int, nums [][]float6
 				if err := cw.u32s(ni.perm); err != nil {
 					return 0, 0, err
 				}
-				if err := cw.f64s(ni.sorted); err != nil {
-					return 0, 0, err
-				}
 				if err := cw.u32s(ni.nan); err != nil {
 					return 0, 0, err
 				}
@@ -153,11 +157,7 @@ func writeBlockFile(dir, name, magic string, base int, rows int, nums [][]float6
 				return 0, 0, err
 			}
 			if idx != nil {
-				ci := &idx.cidx[j]
-				if err := cw.u32s(ci.perm); err != nil {
-					return 0, 0, err
-				}
-				if err := cw.u32s(ci.sorted); err != nil {
+				if err := cw.u32s(idx.cidx[j].perm); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -259,20 +259,47 @@ func (br *blockReader) u32s(n int) ([]uint32, error) {
 	return out, nil
 }
 
-// decodeBlock decodes a block file into columns (and, when withIndexes,
-// the persisted per-column indexes) against the given schema. It validates
-// structure — magic, column count, tags, index lengths — but not the CRC:
+// rowIDs decodes n row indexes of a block of rows rows, rejecting any that
+// is out of range: the zone maps and every span index the column and the
+// bitmap window through them.
+func (br *blockReader) rowIDs(n, rows int, what string, col int) ([]uint32, error) {
+	out, err := br.u32s(n)
+	if err != nil {
+		return nil, err
+	}
+	var top uint32
+	for _, r := range out {
+		top = max(top, r)
+	}
+	if len(out) > 0 && int(top) >= rows {
+		return nil, fmt.Errorf("store: %s: column %d %s entry %d out of range (rows %d)", br.name, col, what, top, rows)
+	}
+	return out, nil
+}
+
+// decodeBlock decodes a block file into columns and, when withIndexes (a
+// sealed segment, v2 or v1), the persisted permutations, from which it
+// derives the zone maps. It validates structure — magic, column
+// count, tags, index lengths, row indexes in range — but not the CRC:
 // every committed file's checksum was verified when the manifest was
 // chosen at Open, and immutable files don't decay between Open and read in
 // any failure model short of external corruption, which the structural
-// checks turn into an error rather than garbage.
-func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withIndexes bool) (base int, d *segData, err error) {
+// checks turn into an error rather than garbage or a panic.
+func decodeBlock(br *blockReader, attrs []dataset.Attribute, withIndexes bool) (base int, d *segData, err error) {
 	head, err := br.take(8)
 	if err != nil {
 		return 0, nil, err
 	}
-	if string(head) != magic {
-		return 0, nil, fmt.Errorf("store: %s: bad magic %q (want %q)", br.name, head, magic)
+	v1 := false
+	switch magic := string(head); {
+	case !withIndexes:
+		if magic != tailMagic {
+			return 0, nil, fmt.Errorf("store: %s: bad magic %q (want %q)", br.name, head, tailMagic)
+		}
+	case magic == segMagicV1:
+		v1 = true
+	case magic != segMagic:
+		return 0, nil, fmt.Errorf("store: %s: bad magic %q (want %q or %q)", br.name, head, segMagic, segMagicV1)
 	}
 	ncols, err := br.u32()
 	if err != nil {
@@ -324,21 +351,21 @@ func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withI
 				return 0, nil, fmt.Errorf("store: %s: column %d perm length %d > rows %d", br.name, j, permLen, rows)
 			}
 			ni := numIndex{}
-			if ni.perm, err = br.u32s(int(permLen)); err != nil {
+			if ni.perm, err = br.rowIDs(int(permLen), rows, "perm", j); err != nil {
 				return 0, nil, err
 			}
-			if ni.sorted, err = br.f64s(int(permLen)); err != nil {
-				return 0, nil, err
+			if v1 {
+				if _, err := br.take(int(permLen) * 8); err != nil { // the sorted copy
+					return 0, nil, err
+				}
 			}
-			if ni.nan, err = br.u32s(rows - int(permLen)); err != nil {
+			if ni.nan, err = br.rowIDs(rows-int(permLen), rows, "nan", j); err != nil {
 				return 0, nil, err
 			}
 			if len(ni.nan) == 0 {
 				ni.nan = nil
 			}
-			if len(ni.sorted) > 0 {
-				ni.min, ni.max = ni.sorted[0], ni.sorted[len(ni.sorted)-1]
-			}
+			ni.min, ni.max = zoneEnds(d.nums[j], ni.perm)
 			d.nidx[j] = ni
 		} else {
 			if d.cats[j], err = br.u32s(rows); err != nil {
@@ -348,15 +375,15 @@ func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withI
 				continue
 			}
 			ci := catIndex{}
-			if ci.perm, err = br.u32s(rows); err != nil {
+			if ci.perm, err = br.rowIDs(rows, rows, "perm", j); err != nil {
 				return 0, nil, err
 			}
-			if ci.sorted, err = br.u32s(rows); err != nil {
-				return 0, nil, err
+			if v1 {
+				if _, err := br.take(rows * 4); err != nil { // the sorted copy
+					return 0, nil, err
+				}
 			}
-			if len(ci.sorted) > 0 {
-				ci.min, ci.max = ci.sorted[0], ci.sorted[len(ci.sorted)-1]
-			}
+			ci.min, ci.max = zoneEnds(d.cats[j], ci.perm)
 			d.cidx[j] = ci
 		}
 	}

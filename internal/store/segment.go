@@ -60,7 +60,7 @@ func zonesOf(d *segData) []zone {
 	zs := make([]zone, len(d.nidx))
 	for j, idx := range d.nidx {
 		zs[j] = emptyZone
-		if len(idx.sorted) > 0 {
+		if len(idx.perm) > 0 {
 			zs[j] = zone{idx.min, idx.max}
 		}
 	}
@@ -166,22 +166,20 @@ type numIndex struct {
 	// every value is NaN (perm empty).
 	min, max float64
 	// perm holds the segment-local rows sorted ascending by value, NaN rows
-	// excluded; sorted[k] is the value at perm[k], kept as a contiguous
-	// copy so range binary searches don't chase the permutation.
-	perm   []uint32
-	sorted []float64
+	// excluded. The sorted values themselves are not copied: position k's
+	// value is col[perm[k]].
+	perm []uint32
 	// nan lists the rows whose value is NaN. They fail every comparison
 	// except !=, exactly as the row-at-a-time scan path treats them.
 	nan []uint32
 }
 
 // catIndex is the per-segment index of one categorical column: the
-// code-sorted permutation. The equal range of a code inside sorted IS that
+// code-sorted permutation. The equal range of a code inside it IS that
 // code's posting list (perm[lo:hi] are the rows holding it).
 type catIndex struct {
 	min, max uint32
 	perm     []uint32
-	sorted   []uint32
 }
 
 // buildSegData indexes one sealed block. nums/cats are the frozen column
@@ -217,8 +215,8 @@ func buildSegData(nums [][]float64, cats [][]uint32) *segData {
 	return d
 }
 
-// footprint estimates the decoded byte size of the segData (columns plus
-// indexes) for the resident-tier memory accounting.
+// footprint is the byte size of every slice the segData holds (columns
+// plus indexes), for the resident-tier memory accounting.
 func (d *segData) footprint() int64 {
 	var b int64
 	for _, col := range d.nums {
@@ -228,17 +226,25 @@ func (d *segData) footprint() int64 {
 		b += int64(len(col)) * 4
 	}
 	for _, idx := range d.nidx {
-		b += int64(len(idx.perm))*4 + int64(len(idx.sorted))*8 + int64(len(idx.nan))*4
+		b += int64(len(idx.perm))*4 + int64(len(idx.nan))*4
 	}
 	for _, idx := range d.cidx {
-		b += int64(len(idx.perm))*4 + int64(len(idx.sorted))*4
+		b += int64(len(idx.perm)) * 4
 	}
 	return b
 }
 
 func buildNumIndex(col []float64) numIndex {
-	idx := numIndex{}
-	idx.perm = make([]uint32, 0, len(col))
+	nans := 0
+	for _, v := range col {
+		if math.IsNaN(v) {
+			nans++
+		}
+	}
+	idx := numIndex{perm: make([]uint32, 0, len(col)-nans)}
+	if nans > 0 {
+		idx.nan = make([]uint32, 0, nans)
+	}
 	for i, v := range col {
 		if math.IsNaN(v) {
 			idx.nan = append(idx.nan, uint32(i))
@@ -254,13 +260,7 @@ func buildNumIndex(col []float64) numIndex {
 		// Equal values stay in row order so posting ranges are ascending.
 		return idx.perm[a] < idx.perm[b]
 	})
-	idx.sorted = make([]float64, len(idx.perm))
-	for k, r := range idx.perm {
-		idx.sorted[k] = col[r]
-	}
-	if len(idx.sorted) > 0 {
-		idx.min, idx.max = idx.sorted[0], idx.sorted[len(idx.sorted)-1]
-	}
+	idx.min, idx.max = zoneEnds(col, idx.perm)
 	return idx
 }
 
@@ -276,14 +276,18 @@ func buildCatIndex(col []uint32) catIndex {
 		}
 		return idx.perm[a] < idx.perm[b]
 	})
-	idx.sorted = make([]uint32, len(col))
-	for k, r := range idx.perm {
-		idx.sorted[k] = col[r]
-	}
-	if len(idx.sorted) > 0 {
-		idx.min, idx.max = idx.sorted[0], idx.sorted[len(idx.sorted)-1]
-	}
+	idx.min, idx.max = zoneEnds(col, idx.perm)
 	return idx
+}
+
+// zoneEnds returns the zone map of a column from its sorted permutation:
+// the values at both ends, or zeros when perm is empty. Every perm entry
+// must index col.
+func zoneEnds[T float64 | uint32](col []T, perm []uint32) (lo, hi T) {
+	if m := len(perm); m > 0 {
+		lo, hi = col[perm[0]], col[perm[m-1]]
+	}
+	return lo, hi
 }
 
 // eval evaluates a planned conjunction over the segment into words, the
@@ -291,7 +295,8 @@ func buildCatIndex(col []uint32) catIndex {
 // entry). scratch is a caller-owned window of the same length. The result
 // is exactly the rows a row-at-a-time scan would match.
 //
-// Every conjunct first resolves to a span (zone map, then binary search).
+// Every conjunct first resolves to a span (zone map, then binary search
+// through the permutation).
 // Then each span costs min(k, n−k) bit writes for its k matching rows: at
 // most n/2 matches are scattered, more are written as a word fill that
 // clears the n−k failing rows. The span with the fewest matches fills the
@@ -368,31 +373,27 @@ func (sp *span) rows(ws []uint64, match bool, op func([]uint64, []uint32)) {
 }
 
 // intervalSpan resolves one merged interval: a single contiguous range of
-// the sorted permutation found by two binary searches, however many range
-// conditions produced it. The zone map settles the segment first: an
-// interval disjoint from [min,max] matches nothing, and one covering
-// [min,max] of a NaN-free column matches everything, without a search.
+// the sorted permutation, however many range conditions produced it. The
+// zone map settles the segment first: an interval disjoint from [min,max]
+// matches nothing. A bound that every non-NaN value passes — among them an
+// inclusive −∞ lower or +∞ upper bound, so one side of every one-sided
+// threshold — is that end of perm without a search; an interval covering
+// [min,max] of a NaN-free column therefore spans every row. Any other
+// bound costs one search.
 func (d *segData) intervalSpan(iv *numInterval) span {
 	idx := &d.nidx[iv.col]
 	sp := span{perm: idx.perm, nan: idx.nan}
-	switch {
-	case len(idx.sorted) == 0, iv.lo > idx.max, iv.lo == idx.max && !iv.loIncl,
-		iv.hi < idx.min, iv.hi == idx.min && !iv.hiIncl:
-		return sp
-	case len(idx.nan) == 0 && (iv.lo < idx.min || iv.lo == idx.min && iv.loIncl) &&
-		(iv.hi > idx.max || iv.hi == idx.max && iv.hiIncl):
-		sp.k = d.n
+	if len(idx.perm) == 0 || iv.lo > idx.max || iv.lo == idx.max && !iv.loIncl ||
+		iv.hi < idx.min || iv.hi == idx.min && !iv.hiIncl {
 		return sp
 	}
-	if iv.loIncl {
-		sp.lo = lowerBound(idx.sorted, iv.lo)
-	} else {
-		sp.lo = upperBound(idx.sorted, iv.lo)
+	col, n := d.nums[iv.col], len(idx.perm)
+	sp.hi = n
+	if iv.lo > idx.min || iv.lo == idx.min && !iv.loIncl {
+		sp.lo = searchPerm(col, idx.perm, 0, n, iv.lo, !iv.loIncl)
 	}
-	if iv.hiIncl {
-		sp.hi = upperBound(idx.sorted, iv.hi)
-	} else {
-		sp.hi = lowerBound(idx.sorted, iv.hi)
+	if iv.hi < idx.max || iv.hi == idx.max && !iv.hiIncl {
+		sp.hi = searchPerm(col, idx.perm, 0, n, iv.hi, iv.hiIncl)
 	}
 	sp.k = sp.hi - sp.lo
 	return sp
@@ -400,20 +401,36 @@ func (d *segData) intervalSpan(iv *numInterval) span {
 
 // equalSpan resolves a residual condition — numeric != or categorical
 // =/!= — to the equal range of its value, which is empty when the value is
-// NaN, absent from the dictionary or outside the zone map.
+// NaN, absent from the dictionary or outside the zone map. A value at an
+// end of the zone map starts or ends its range at that end of perm without
+// a search, so a two-code column pays one search, not two.
 func (d *segData) equalSpan(c compiledCond) span {
 	var sp span
 	if c.numeric {
 		idx := &d.nidx[c.col]
 		sp = span{perm: idx.perm, nan: idx.nan, out: true} // the planner leaves only != here
-		if len(idx.sorted) > 0 && c.v >= idx.min && c.v <= idx.max {
-			sp.lo, sp.hi = lowerBound(idx.sorted, c.v), upperBound(idx.sorted, c.v)
+		if len(idx.perm) > 0 && c.v >= idx.min && c.v <= idx.max {
+			col, n := d.nums[c.col], len(idx.perm)
+			sp.hi = n
+			if c.v > idx.min {
+				sp.lo = searchPerm(col, idx.perm, 0, n, c.v, false)
+			}
+			if c.v < idx.max {
+				sp.hi = searchPerm(col, idx.perm, sp.lo, n, c.v, true)
+			}
 		}
 	} else {
 		idx := &d.cidx[c.col]
 		sp = span{perm: idx.perm, out: c.op == Ne}
-		if c.codeOK && len(idx.sorted) > 0 && c.code >= idx.min && c.code <= idx.max {
-			sp.lo, sp.hi = lowerBound32(idx.sorted, c.code), upperBound32(idx.sorted, c.code)
+		if c.codeOK && len(idx.perm) > 0 && c.code >= idx.min && c.code <= idx.max {
+			col, n := d.cats[c.col], len(idx.perm)
+			sp.hi = n
+			if c.code > idx.min {
+				sp.lo = searchPerm(col, idx.perm, 0, n, c.code, false)
+			}
+			if c.code < idx.max {
+				sp.hi = searchPerm(col, idx.perm, sp.lo, n, c.code, true)
+			}
 		}
 	}
 	sp.k = sp.hi - sp.lo
@@ -433,20 +450,19 @@ func setAllSegment(out []uint64, n int) {
 	}
 }
 
-// lowerBound returns the first index with s[i] >= v.
-func lowerBound(s []float64, v float64) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
-}
-
-// upperBound returns the first index with s[i] > v.
-func upperBound(s []float64, v float64) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] > v })
-}
-
-func lowerBound32(s []uint32, v uint32) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
-}
-
-func upperBound32(s []uint32, v uint32) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] > v })
+// searchPerm returns the first position k in [lo, hi) whose value
+// col[perm[k]] is >= v, or > v when strict; hi when there is none. The
+// positions must be sorted ascending by value, and v is never NaN. The
+// top steps of every search land on the same few positions, so they stay
+// cached across queries; only the last steps miss.
+func searchPerm[T float64 | uint32](col []T, perm []uint32, lo, hi int, v T, strict bool) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := col[perm[m]]; x > v || !strict && x == v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }

@@ -1,18 +1,20 @@
 // Package store is the columnar segment engine behind the statistical
 // server: an immutable, column-oriented row store with per-segment sorted
-// indexes and zone maps, built so a compiled predicate evaluates as index
-// range scans intersected into a row bitmap instead of the row-at-a-time
-// full-table sweep that capped the server at toy sizes.
+// permutation indexes and zone maps, built so a compiled predicate
+// evaluates as index range scans intersected into a row bitmap instead of
+// the row-at-a-time full-table sweep that capped the server at toy sizes.
 //
 // Layout. Rows are ingested append-only into fixed-size segments
 // (DefaultSegmentSize rows, always a multiple of 64). Numeric attributes
 // are contiguous []float64 per segment; categorical attributes are
 // dictionary-encoded []uint32 codes against a store-wide append-only
-// dictionary. When a segment fills it is sealed: a zone map (min/max) and a
-// sorted permutation index are built per numeric column, a code-sorted
-// posting index per categorical column, and the segment never changes
-// again. The open tail stays unindexed and is evaluated by a compiled scan
-// — it is at most one segment of rows.
+// dictionary. When a segment fills it is sealed: a zone map (min/max) and
+// a sorted permutation index are built per numeric column, a code-sorted
+// permutation per categorical column, and the segment never changes
+// again. No index copies the values: sorted position k reads
+// col[perm[k]]. The open tail stays
+// unindexed and is evaluated by a compiled scan — it is at most one
+// segment of rows.
 //
 // Snapshots. Because sealed segments are immutable and tail buffers are
 // never recycled (sealing allocates fresh ones), a Snapshot is just the
@@ -24,9 +26,10 @@
 //
 // Evaluation. Eval answers a conjunction of conditions with one bitmap per
 // snapshot: per segment, each condition resolves to a permutation range
-// (binary search over the sorted index, zone map for whole-segment
-// skip/accept) whose rows are set in the segment's word-aligned bitmap
-// window, and conditions intersect word-parallel (Bitmap). Aggregates then
+// (zone map for whole-segment skip/accept, else a binary search through
+// the permutation, reading col[perm[k]]) whose rows are set in the
+// segment's word-aligned bitmap window, and conditions intersect
+// word-parallel (Bitmap). Aggregates then
 // run off the bitmap: COUNT is a popcount, SUM/AVG a bitmap-driven sweep
 // of the column in ascending row order — the identical float64 summation
 // order as the scan path, so indexed answers are byte-identical to it.
@@ -272,7 +275,7 @@ func (s *Store) sealLocked() error {
 	}
 	if s.tier.durable() {
 		name := segFileName(sg.ord)
-		size, crc, err := writeBlockFile(s.tier.dir, name, segMagic, sg.base, d.n, d.nums, d.cats, d)
+		size, crc, err := writeBlockFile(s.tier.dir, name, sg.base, d.n, d.nums, d.cats, d)
 		if err != nil {
 			return err
 		}

@@ -182,7 +182,7 @@ func (fs *fileSource) Load() (*segData, error) {
 	}
 	fs.t.spilledReads.Add(1)
 	gSpilledReads.Add(1)
-	_, d, err := decodeBlock(&blockReader{buf: buf, name: fs.name}, segMagic, fs.t.attrs, true)
+	_, d, err := decodeBlock(&blockReader{buf: buf, name: fs.name}, fs.t.attrs, true)
 	if err == nil && d.n != fs.t.segSize {
 		return nil, fmt.Errorf("store: %s: %d rows, segment size is %d", fs.name, d.n, fs.t.segSize)
 	}
@@ -350,6 +350,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	segs := make([]*segment, len(m.Segments))
 	for i := range m.Segments {
 		b := &m.Segments[i]
+		src := &fileSource{t: s.tier, ord: i, name: b.File, size: b.Size, crc: b.CRC, decoded: b.Decoded}
 		sg := &segment{
 			base:  i * s.segSize,
 			n:     b.Rows,
@@ -357,17 +358,18 @@ func Open(dir string, opts Options) (*Store, error) {
 			bytes: b.Decoded,
 			zones: decodeZones(b.Zones),
 			tier:  s.tier,
-			src:   &fileSource{t: s.tier, ord: i, name: b.File, size: b.Size, crc: b.CRC, decoded: b.Decoded},
+			src:   src,
 		}
 		if sg.zones == nil {
 			// Legacy manifest: decode once so this Open's commit records
-			// the zones.
-			d, err := sg.src.Load()
+			// the zones, and the footprint of the current decoded layout.
+			d, err := src.Load()
 			if err != nil {
 				s.dictF.Close()
 				return fail(err)
 			}
 			sg.zones = zonesOf(d)
+			sg.bytes, src.decoded = d.footprint(), d.footprint()
 		}
 		segs[i] = sg
 	}
@@ -437,7 +439,7 @@ func (s *Store) loadTail(b *manifestBlock) error {
 	if err != nil {
 		return err
 	}
-	_, d, err := decodeBlock(&blockReader{buf: buf, name: b.File}, tailMagic, s.attrs, false)
+	_, d, err := decodeBlock(&blockReader{buf: buf, name: b.File}, s.attrs, false)
 	if err != nil {
 		return err
 	}
@@ -522,7 +524,7 @@ func (s *Store) commitLocked() error {
 				cats[j] = s.tailCats[j][:s.tailLen]
 			}
 		}
-		size, crc, err := writeBlockFile(s.tier.dir, tailName, tailMagic, len(s.segs)*s.segSize, s.tailLen, nums, cats, nil)
+		size, crc, err := writeBlockFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, nums, cats, nil)
 		if err != nil {
 			return err
 		}

@@ -186,14 +186,17 @@ func TestNumRangeColdCappedNeedsNoDecode(t *testing.T) {
 
 // TestLegacyManifestWithoutZonesOpens pins the upgrade path: a manifest
 // written before zone maps were persisted opens, answers byte-identically,
-// and the commit Open makes records the zones.
+// and the commit Open makes records the zones and replaces a decoded
+// footprint of an older layout with the one the segment now decodes to.
 func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
 	dir := t.TempDir()
 	s := createPersistStore(t, dir, persistTestRows, Options{})
 	want := queryFingerprint(t, s.Snapshot())
 	var wantZones [][]zone
+	var wantBytes []int64
 	for _, sg := range s.Snapshot().segs {
 		wantZones = append(wantZones, sg.zones)
+		wantBytes = append(wantBytes, sg.acquire().footprint())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -201,6 +204,7 @@ func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
 	rewriteNewestManifest(t, dir, func(m *manifest) {
 		for i := range m.Segments {
 			m.Segments[i].Zones = nil
+			m.Segments[i].Decoded += 4096 // as a layout with sorted copies counted
 		}
 	})
 
@@ -209,6 +213,11 @@ func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
 		t.Fatalf("Open legacy manifest: %v", err)
 	}
 	defer r.Close()
+	for i, sg := range r.Snapshot().segs {
+		if sg.bytes != wantBytes[i] {
+			t.Errorf("segment %d: handle accounts %d bytes, footprint %d", i, sg.bytes, wantBytes[i])
+		}
+	}
 	if got := queryFingerprint(t, r.Snapshot()); !fingerprintsEqual(got, want) {
 		t.Fatalf("legacy-manifest answers differ")
 	}
@@ -220,6 +229,9 @@ func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
 		t.Fatalf("committed manifest has %d segments, want %d", len(m.Segments), len(wantZones))
 	}
 	for i, b := range m.Segments {
+		if b.Decoded != wantBytes[i] {
+			t.Errorf("segment %d: committed decoded footprint %d, want %d", i, b.Decoded, wantBytes[i])
+		}
 		zs := decodeZones(b.Zones)
 		if len(zs) != len(wantZones[i]) {
 			t.Fatalf("segment %d: committed %d zone maps, want %d", i, len(zs), len(wantZones[i]))
