@@ -195,3 +195,43 @@ func BenchmarkSumSparseFullSweep100k(b *testing.B) {
 		_ = sumFullSweep(snap, bm, bp)
 	}
 }
+
+// sealBenchColumns returns the columns of one sealed 8192-row trial
+// segment: the input a seal indexes and writes.
+func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32) {
+	b.Helper()
+	d, err := dataset.Synth("trial", DefaultSegmentSize, 20070923)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := FromDataset(d, DefaultSegmentSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sd := s.Snapshot().segs[0].acquire()
+	return sd.nums, sd.cats
+}
+
+// sealSink keeps BenchmarkSeal's index builds live.
+var sealSink *segData
+
+// BenchmarkSeal times what sealing one segment of a durable store costs:
+// building its indexes and writing its checksummed file (tmp + fsync +
+// rename). The index sub-benchmark times the index build alone.
+func BenchmarkSeal(b *testing.B) {
+	nums, cats := sealBenchColumns(b)
+	b.Run("index", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sealSink = buildSegData(nums, cats)
+		}
+	})
+	b.Run("seal", func(b *testing.B) {
+		dir := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			d := buildSegData(nums, cats)
+			if _, _, err := writeBlockFile(dir, segFileName(0), 0, d.n, d.nums, d.cats, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

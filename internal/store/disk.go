@@ -46,11 +46,17 @@ const (
 	tagCategorical = 2
 )
 
-// crcWriter tees writes into a running CRC-32.
+// crcWriter tees writes into a running CRC-32. Typed slices are encoded
+// into buf a chunk at a time, so each chunk costs one CRC update and one
+// write rather than one of each per value.
 type crcWriter struct {
 	w   *bufio.Writer
 	crc uint32
+	buf []byte
 }
+
+// crcChunk is the most bytes f64s and u32s encode per CRC update and write.
+const crcChunk = 64 << 10
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
 	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
@@ -76,24 +82,40 @@ func (cw *crcWriter) bytes(p []byte) error {
 	return err
 }
 
+// chunk returns the encode buffer, allocated on first use.
+func (cw *crcWriter) chunk() []byte {
+	if cw.buf == nil {
+		cw.buf = make([]byte, crcChunk)
+	}
+	return cw.buf
+}
+
 func (cw *crcWriter) f64s(vals []float64) error {
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		if err := cw.bytes(b[:]); err != nil {
+	buf := cw.chunk()
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		}
+		if err := cw.bytes(buf[:n*8]); err != nil {
 			return err
 		}
+		vals = vals[n:]
 	}
 	return nil
 }
 
 func (cw *crcWriter) u32s(vals []uint32) error {
-	var b [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(b[:], v)
-		if err := cw.bytes(b[:]); err != nil {
+	buf := cw.chunk()
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/4)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[i*4:], v)
+		}
+		if err := cw.bytes(buf[:n*4]); err != nil {
 			return err
 		}
+		vals = vals[n:]
 	}
 	return nil
 }
@@ -395,14 +417,18 @@ func decodeBlock(br *blockReader, attrs []dataset.Attribute, withIndexes bool) (
 
 // fileCRC computes the CRC-32 (IEEE) of the first limit bytes of the file
 // (limit < 0 means the whole file), streaming so Open-time verification of
-// large segment files never materializes them.
-func fileCRC(path string, limit int64) (uint32, error) {
+// large segment files never materializes them. It copies the file's first
+// len(head) bytes (fewer if the file is shorter) into head.
+func fileCRC(path string, limit int64, head []byte) (uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	var r io.Reader = bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, 1<<20)
+	p, _ := br.Peek(len(head)) // a shorter file fills only a prefix of head
+	copy(head, p)
+	var r io.Reader = br
 	if limit >= 0 {
 		r = io.LimitReader(r, limit)
 	}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -113,6 +115,70 @@ func FuzzDecodeSegment(f *testing.F) {
 		for _, p := range plans {
 			zeroWords(words)
 			d.eval(p, words, scratch)
+		}
+	})
+}
+
+// fuzzTails writes TAIL blocks of fuzzAttrs with the block writer: empty,
+// one row, and 40 rows holding NaN, −0, ±Inf and codes never used before
+// in the tail, as freshly interned dictionary entries are.
+func fuzzTails(f *testing.F) [][]byte {
+	f.Helper()
+	dir := f.TempDir()
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	x, y := make([]float64, 40), make([]float64, 40)
+	c := make([]uint32, 40)
+	for i := range x {
+		x[i] = []float64{nan, negZero, 0, math.Inf(1), math.Inf(-1), float64(i)}[i%6]
+		y[i] = float64(i) / 3
+		c[i] = []uint32{0, 1, 2, 9, 1 << 20}[i%5]
+	}
+	var out [][]byte
+	for _, rows := range []int{0, 1, 40} {
+		name := fmt.Sprintf("TAIL-%d", rows)
+		if _, _, err := writeBlockFile(dir, name, 3*128, rows, [][]float64{x, nil, y}, [][]uint32{nil, c, nil}, nil); err != nil {
+			f.Fatal(err)
+		}
+		buf, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, buf)
+	}
+	return out
+}
+
+// FuzzDecodeTail drives the tail decoder with arbitrary bytes: it must
+// never panic, and a tail it accepts must re-encode to the bytes it was
+// decoded from. The decoder leaves the CRC footer to Open's validation,
+// so a tail with a flipped footer decodes to the same columns.
+func FuzzDecodeTail(f *testing.F) {
+	for _, tail := range fuzzTails(f) {
+		f.Add(tail)
+		for _, cut := range []int{len(tail) - 1, len(tail) - 4, len(tail) - 5, 25, 24, 8, 3} {
+			if cut >= 0 && cut < len(tail) {
+				f.Add(tail[:cut])
+			}
+		}
+		flipped := append([]byte(nil), tail...)
+		flipped[len(flipped)-1] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add(fuzzSegment(f)) // a segment is no tail
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		base, d, err := decodeBlock(&blockReader{buf: buf, name: "fuzz"}, fuzzAttrs, false)
+		if err != nil {
+			return
+		}
+		for j, a := range fuzzAttrs {
+			numeric := a.Kind == dataset.Numeric
+			if numeric && (len(d.nums[j]) != d.n || d.cats[j] != nil) || !numeric && (len(d.cats[j]) != d.n || d.nums[j] != nil) {
+				t.Fatalf("column %d decoded to %d numeric and %d categorical values, tail has %d rows", j, len(d.nums[j]), len(d.cats[j]), d.n)
+			}
+		}
+		body := buf[:len(buf)-4]
+		if re := encodeBlockRef(base, d.n, d.nums, d.cats, nil); !bytes.Equal(re[:len(re)-4], body) {
+			t.Fatalf("accepted tail re-encodes to different bytes")
 		}
 	})
 }

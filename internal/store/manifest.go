@@ -60,6 +60,10 @@ type manifestBlock struct {
 	CRC     uint32      `json:"crc"`
 	Decoded int64       `json:"decoded,omitempty"`
 	Zones   [][2]uint64 `json:"zones,omitempty"`
+
+	// v1 is set by validation when the file is a SEG v1 segment, whose
+	// recorded Decoded counts the sorted copies v1 files carried.
+	v1 bool
 }
 
 // encodeZones converts a segment's zone maps to their manifest form.
@@ -208,7 +212,7 @@ func validateManifest(dir string, m *manifest) error {
 		}
 	}
 	if m.DictBytes > 0 {
-		crc, err := fileCRC(filepath.Join(dir, dictFileName), m.DictBytes)
+		crc, err := fileCRC(filepath.Join(dir, dictFileName), m.DictBytes, nil)
 		if err != nil {
 			return fmt.Errorf("store: dictionary: %w", err)
 		}
@@ -239,6 +243,8 @@ func validateZones(b *manifestBlock, cols int) error {
 	return nil
 }
 
+// validateBlockFile checks b's file against its recorded size and CRC and
+// notes whether it is a SEG v1 segment.
 func validateBlockFile(dir string, b *manifestBlock) error {
 	path := filepath.Join(dir, b.File)
 	fi, err := os.Stat(path)
@@ -248,13 +254,15 @@ func validateBlockFile(dir string, b *manifestBlock) error {
 	if fi.Size() != b.Size {
 		return fmt.Errorf("store: %s: size %d, manifest says %d", path, fi.Size(), b.Size)
 	}
-	crc, err := fileCRC(path, -1)
+	var head [len(segMagicV1)]byte
+	crc, err := fileCRC(path, -1, head[:])
 	if err != nil {
 		return err
 	}
 	if crc != b.CRC {
 		return fmt.Errorf("store: %s: checksum mismatch", path)
 	}
+	b.v1 = string(head[:]) == segMagicV1
 	return nil
 }
 

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -202,14 +201,15 @@ func buildSegData(nums [][]float64, cats [][]uint32) *segData {
 	}
 	d.nidx = make([]numIndex, len(nums))
 	d.cidx = make([]catIndex, len(cats))
+	var rs radixSorter
 	for j, col := range nums {
 		if col != nil {
-			d.nidx[j] = buildNumIndex(col)
+			d.nidx[j] = rs.numIndex(col)
 		}
 	}
 	for j, col := range cats {
 		if col != nil {
-			d.cidx[j] = buildCatIndex(col)
+			d.cidx[j] = rs.catIndex(col)
 		}
 	}
 	return d
@@ -234,7 +234,19 @@ func (d *segData) footprint() int64 {
 	return b
 }
 
-func buildNumIndex(col []float64) numIndex {
+// radixSorter builds the segment indexes with a stable LSD radix sort over
+// uint64 keys, one byte per pass. Rows enter in ascending order and every
+// pass is stable, so equal keys keep row order: perm is exactly the order
+// "by value, then by row" that the search and the posting ranges rely on,
+// in linear time. Its scratch is reused across the columns of a segment.
+type radixSorter struct {
+	keys, keys2 []uint64
+	perm2       []uint32
+}
+
+// numIndex indexes a numeric column: NaN rows go to nan, every other row
+// to perm, sorted by floatKey.
+func (rs *radixSorter) numIndex(col []float64) numIndex {
 	nans := 0
 	for _, v := range col {
 		if math.IsNaN(v) {
@@ -245,39 +257,100 @@ func buildNumIndex(col []float64) numIndex {
 	if nans > 0 {
 		idx.nan = make([]uint32, 0, nans)
 	}
+	keys := rs.keyBuf(len(col) - nans)[:0]
 	for i, v := range col {
 		if math.IsNaN(v) {
 			idx.nan = append(idx.nan, uint32(i))
 		} else {
 			idx.perm = append(idx.perm, uint32(i))
+			keys = append(keys, floatKey(v))
 		}
 	}
-	sort.Slice(idx.perm, func(a, b int) bool {
-		va, vb := col[idx.perm[a]], col[idx.perm[b]]
-		if va != vb {
-			return va < vb
-		}
-		// Equal values stay in row order so posting ranges are ascending.
-		return idx.perm[a] < idx.perm[b]
-	})
+	rs.sort(keys, idx.perm)
 	idx.min, idx.max = zoneEnds(col, idx.perm)
 	return idx
 }
 
-func buildCatIndex(col []uint32) catIndex {
+// catIndex indexes a categorical column: every row, sorted by code.
+func (rs *radixSorter) catIndex(col []uint32) catIndex {
 	idx := catIndex{perm: make([]uint32, len(col))}
-	for i := range col {
+	keys := rs.keyBuf(len(col))
+	for i, c := range col {
 		idx.perm[i] = uint32(i)
+		keys[i] = uint64(c)
 	}
-	sort.Slice(idx.perm, func(a, b int) bool {
-		ca, cb := col[idx.perm[a]], col[idx.perm[b]]
-		if ca != cb {
-			return ca < cb
-		}
-		return idx.perm[a] < idx.perm[b]
-	})
+	rs.sort(keys, idx.perm)
 	idx.min, idx.max = zoneEnds(col, idx.perm)
 	return idx
+}
+
+// floatKey maps a non-NaN float64 to a uint64 with the same order, and
+// −0 to the key of +0 so the two compare equal, as they do as floats.
+func floatKey(v float64) uint64 {
+	if v == 0 {
+		v = 0 // folds −0 onto +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b // negative: larger magnitude sorts first
+	}
+	return b | 1<<63
+}
+
+// keyBuf returns key scratch of length n.
+func (rs *radixSorter) keyBuf(n int) []uint64 {
+	if cap(rs.keys) < n {
+		rs.keys = make([]uint64, n)
+	}
+	return rs.keys[:n]
+}
+
+// sort reorders perm (and keys with it, keys[i] being perm[i]'s key)
+// stably by key. One counting pass histograms all eight bytes; a byte
+// that is the same in every key is skipped, so a column pays only for
+// the bytes in which its values differ.
+func (rs *radixSorter) sort(keys []uint64, perm []uint32) {
+	n := len(perm)
+	if n < 2 {
+		return
+	}
+	var counts [8][256]uint32
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	if cap(rs.keys2) < n {
+		rs.keys2 = make([]uint64, n)
+		rs.perm2 = make([]uint32, n)
+	}
+	srcK, srcP := keys, perm
+	dstK, dstP := rs.keys2[:n], rs.perm2[:n]
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0]>>(8*d))] == uint32(n) {
+			continue // every key has this byte
+		}
+		var offs [256]uint32
+		var sum uint32
+		for b, cnt := range c {
+			offs[b] = sum
+			sum += cnt
+		}
+		shift := uint(8 * d)
+		for i, k := range srcK {
+			b := byte(k >> shift)
+			o := offs[b]
+			offs[b] = o + 1
+			dstK[o] = k
+			dstP[o] = srcP[i]
+		}
+		srcK, dstK = dstK, srcK
+		srcP, dstP = dstP, srcP
+	}
+	if &srcP[0] != &perm[0] {
+		copy(perm, srcP)
+	}
 }
 
 // zoneEnds returns the zone map of a column from its sorted permutation:

@@ -178,3 +178,57 @@ func TestV1SegmentFilesStillServe(t *testing.T) {
 		t.Errorf("mixed v1/v2 store rows changed across reopen")
 	}
 }
+
+// TestV1SegmentsReaccountedAtOpen pins the footprint of a v1 segment whose
+// manifest has zone maps: Open decodes it once and accounts what its
+// decoded form holds, not the v1 manifest's footprint with the sorted
+// copies counted, and the commit Open makes records the corrected value.
+func TestV1SegmentsReaccountedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := createPersistStore(t, dir, persistTestRows, Options{})
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	downgradeToV1(t, dir)
+	m, err := readManifest(newestManifest(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale int64
+	for _, b := range m.Segments {
+		stale += b.Decoded
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r.Snapshot().Materialize() // promotes every segment
+	var want int64
+	for i, sg := range r.Snapshot().segs {
+		fp := sg.acquire().footprint()
+		if sg.bytes != fp {
+			t.Errorf("segment %d: handle accounts %d bytes, footprint %d", i, sg.bytes, fp)
+		}
+		want += fp
+	}
+	// 5 segments × 256 rows × 68 B/row.
+	if want != 87_040 || stale != 143_360 {
+		t.Fatalf("decoded footprints sum to %d and the v1 manifest records %d, want 87040 and 143360", want, stale)
+	}
+	if got := r.TierStats().ResidentBytes; got != want {
+		t.Errorf("ResidentBytes = %d, want the decoded footprints' %d", got, want)
+	}
+	m, err = readManifest(newestManifest(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range m.Segments {
+		if fp := r.Snapshot().segs[i].acquire().footprint(); b.Decoded != fp {
+			t.Errorf("segment %d: committed decoded footprint %d, want %d", i, b.Decoded, fp)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

@@ -10,15 +10,16 @@
 // dictionary-encoded []uint32 codes against a store-wide append-only
 // dictionary. When a segment fills it is sealed: a zone map (min/max) and
 // a sorted permutation index are built per numeric column, a code-sorted
-// permutation per categorical column, and the segment never changes
-// again. No index copies the values: sorted position k reads
+// permutation per categorical column — both by one linear-time radix
+// sort — and the segment never changes again. No index copies the values: sorted position k reads
 // col[perm[k]]. The open tail stays
 // unindexed and is evaluated by a compiled scan — it is at most one
 // segment of rows.
 //
-// Snapshots. Because sealed segments are immutable and tail buffers are
-// never recycled (sealing allocates fresh ones), a Snapshot is just the
-// segment list plus the tail lengths at pin time: zero-copy, always
+// Snapshots. Because sealed segments are immutable, tail buffers are
+// never recycled (sealing allocates fresh ones) and ingest writes only
+// past the published tail length, a Snapshot is just the segment list plus
+// the tail buffers and their length at pin time: zero-copy, always
 // consistent, and completely unaffected by concurrent ingest. The
 // statistical server pins one Snapshot per query, the auditor reasons over
 // the pinned version, and masked releases materialize it — audits see a
@@ -242,22 +243,24 @@ func FromDatasetSharded(d *dataset.Dataset, segSize, shards int) (*Store, error)
 	return s, nil
 }
 
-// freshTail allocates new open-segment buffers. Buffers are never reused
-// after sealing — pinned snapshots keep reading the old ones.
+// freshTail allocates new open-segment buffers, each a full segment long:
+// rows land in slot tailLen, and every reader reads only [:tailLen] of
+// its snapshot. Buffers are never reused after sealing — pinned snapshots
+// keep reading the old ones.
 func (s *Store) freshTail() {
 	s.tailNums = make([][]float64, len(s.attrs))
 	s.tailCats = make([][]uint32, len(s.attrs))
 	for j, a := range s.attrs {
 		if a.Kind == dataset.Numeric {
-			s.tailNums[j] = make([]float64, 0, s.segSize)
+			s.tailNums[j] = make([]float64, s.segSize)
 		} else {
-			s.tailCats[j] = make([]uint32, 0, s.segSize)
+			s.tailCats[j] = make([]uint32, s.segSize)
 		}
 	}
 	s.tailLen = 0
 }
 
-// sealLocked freezes the full tail into an indexed immutable segment. A
+// sealLocked freezes the full tail (segSize rows written) into an indexed immutable segment. A
 // durable store also writes the segment's checksummed file (tmp + fsync +
 // rename) before the segment becomes visible, so every sealed segment a
 // manifest will ever reference is already safely on disk. The segment list
@@ -296,28 +299,21 @@ func (s *Store) sealLocked() error {
 // the publish counter that becomes the snapshot's version. The counter —
 // not the row count — is the version so that two publishes with equal row
 // counts but different content (future delete/compact paths, FromDataset
-// rebuilds) can never collide on answer-cache or noise keys.
+// rebuilds) can never collide on answer-cache or noise keys. The snapshot
+// shares the tail buffers as they are: ingest only writes slots at or
+// past the published tailLen, which no snapshot reads.
 func (s *Store) publishLocked() {
 	s.version++
-	sn := &Snapshot{
-		store:   s,
-		segs:    s.segs,
-		byShard: s.byShard,
-		version: s.version,
-		tailLen: s.tailLen,
-		rows:    len(s.segs)*s.segSize + s.tailLen,
-	}
-	sn.tailNums = make([][]float64, len(s.tailNums))
-	sn.tailCats = make([][]uint32, len(s.tailCats))
-	for j := range s.attrs {
-		if s.tailNums[j] != nil {
-			sn.tailNums[j] = s.tailNums[j][:s.tailLen]
-		}
-		if s.tailCats[j] != nil {
-			sn.tailCats[j] = s.tailCats[j][:s.tailLen]
-		}
-	}
-	s.snap.Store(sn)
+	s.snap.Store(&Snapshot{
+		store:    s,
+		segs:     s.segs,
+		byShard:  s.byShard,
+		version:  s.version,
+		tailNums: s.tailNums,
+		tailCats: s.tailCats,
+		tailLen:  s.tailLen,
+		rows:     len(s.segs)*s.segSize + s.tailLen,
+	})
 }
 
 // Append ingests one row; vals must match the schema like dataset.Append
@@ -326,15 +322,22 @@ func (s *Store) Append(vals ...any) error {
 	if len(vals) != len(s.attrs) {
 		return fmt.Errorf("store: got %d values for %d attributes", len(vals), len(s.attrs))
 	}
-	fs := make([]float64, len(vals))
-	cs := make([]uint32, len(vals))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("store: append on closed store")
+	}
+	// The row is written straight into slot tailLen, which no snapshot
+	// reads; tailLen moves only once the whole row is valid, so a rejected
+	// row leaves nothing to undo.
+	n := s.tailLen
 	for j, v := range vals {
 		if s.attrs[j].Kind == dataset.Numeric {
 			switch x := v.(type) {
 			case float64:
-				fs[j] = x
+				s.tailNums[j][n] = x
 			case int:
-				fs[j] = float64(x)
+				s.tailNums[j][n] = float64(x)
 			default:
 				return fmt.Errorf("store: attribute %q is numeric, got %T", s.attrs[j].Name, v)
 			}
@@ -343,34 +346,15 @@ func (s *Store) Append(vals ...any) error {
 			if !ok {
 				return fmt.Errorf("store: attribute %q is categorical, got %T", s.attrs[j].Name, v)
 			}
-			cs[j] = s.dict.intern(str)
+			s.tailCats[j][n] = s.dict.intern(str)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: append on closed store")
-	}
-	for j, a := range s.attrs {
-		if a.Kind == dataset.Numeric {
-			s.tailNums[j] = append(s.tailNums[j], fs[j])
-		} else {
-			s.tailCats[j] = append(s.tailCats[j], cs[j])
-		}
-	}
-	s.tailLen++
-	if s.tailLen == s.segSize {
+	if n+1 < s.segSize {
+		s.tailLen = n + 1
+	} else {
+		// A failed seal leaves the tail one short of a seal, so the
+		// caller can retry.
 		if err := s.sealLocked(); err != nil {
-			// Roll the row back so the tail stays exactly one short of a
-			// seal and the caller can retry.
-			for j, a := range s.attrs {
-				if a.Kind == dataset.Numeric {
-					s.tailNums[j] = s.tailNums[j][:len(s.tailNums[j])-1]
-				} else {
-					s.tailCats[j] = s.tailCats[j][:len(s.tailCats[j])-1]
-				}
-			}
-			s.tailLen--
 			return err
 		}
 		if err := s.commitSpillLocked(); err != nil {
@@ -423,11 +407,11 @@ func (s *Store) AppendDataset(d *dataset.Dataset) error {
 		}
 		for j, a := range s.attrs {
 			if a.Kind == dataset.Numeric {
-				s.tailNums[j] = append(s.tailNums[j], d.NumColumn(j)[r:r+take]...)
+				copy(s.tailNums[j][s.tailLen:], d.NumColumn(j)[r:r+take])
 			} else {
-				col := d.CatColumn(j)
-				for i := r; i < r+take; i++ {
-					s.tailCats[j] = append(s.tailCats[j], s.dict.intern(col[i]))
+				tail := s.tailCats[j][s.tailLen:]
+				for i, str := range d.CatColumn(j)[r : r+take] {
+					tail[i] = s.dict.intern(str)
 				}
 			}
 		}
@@ -435,8 +419,10 @@ func (s *Store) AppendDataset(d *dataset.Dataset) error {
 		r += take
 		if s.tailLen == s.segSize {
 			if err := s.sealLocked(); err != nil {
-				// Publish the consistent prefix (earlier seals + current
-				// tail rows minus this failed block stay as a full tail).
+				// Drop this block from the tail and publish the
+				// consistent prefix: the earlier seals and the rows
+				// before the block.
+				s.tailLen -= take
 				s.publishLocked()
 				return err
 			}
@@ -483,7 +469,8 @@ func (s *Store) Index(name string) int {
 }
 
 // Snapshot is an immutable view of the store at pin time: the sealed
-// segments plus a frozen prefix of the open tail. All methods are safe for
+// segments plus a frozen prefix of the open tail — its buffers, read only
+// up to tailLen. All methods are safe for
 // concurrent use and never observe later ingest.
 type Snapshot struct {
 	store    *Store
@@ -548,7 +535,7 @@ func (s *Snapshot) compile(conds []Cond) ([]compiledCond, error) {
 	return out, nil
 }
 
-// matchTail evaluates the compiled conjunction against tail row i.
+// matchTail evaluates the compiled conjunction against tail row i < tailLen.
 func (s *Snapshot) matchTail(cc []compiledCond, i int) bool {
 	return matchRow(cc, s.tailNums, s.tailCats, i)
 }
@@ -625,10 +612,9 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 	}
 	if s.tailLen > 0 {
 		base := len(s.segs) * s.store.segSize
-		colv := s.tailNums[col]
-		for i := 0; i < s.tailLen; i++ {
+		for i, v := range s.tailNums[col][:s.tailLen] {
 			if bm.Get(base + i) {
-				sum += colv[i]
+				sum += v
 			}
 		}
 	}
@@ -641,7 +627,7 @@ func (s *Snapshot) Float(i, col int) float64 {
 	if sg := i / s.store.segSize; sg < len(s.segs) {
 		return s.segs[sg].acquire().nums[col][i%s.store.segSize]
 	}
-	return s.tailNums[col][i-len(s.segs)*s.store.segSize]
+	return s.tailNums[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 }
 
 // Cat returns the categorical value at (row i, column col).
@@ -650,7 +636,7 @@ func (s *Snapshot) Cat(i, col int) string {
 	if sg := i / s.store.segSize; sg < len(s.segs) {
 		code = s.segs[sg].acquire().cats[col][i%s.store.segSize]
 	} else {
-		code = s.tailCats[col][i-len(s.segs)*s.store.segSize]
+		code = s.tailCats[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 	}
 	return s.store.dict.str(code)
 }
@@ -674,13 +660,12 @@ func (s *Snapshot) NumRange(col int) (lo, hi float64) {
 			hi = z.max
 		}
 	}
-	colv := s.tailNums[col]
-	for i := 0; i < s.tailLen; i++ {
-		if colv[i] < lo {
-			lo = colv[i]
+	for _, v := range s.tailNums[col][:s.tailLen] {
+		if v < lo {
+			lo = v
 		}
-		if colv[i] > hi {
-			hi = colv[i]
+		if v > hi {
+			hi = v
 		}
 	}
 	return lo, hi
@@ -715,9 +700,9 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 	}
 	for j, a := range s.store.attrs {
 		if a.Kind == dataset.Numeric {
-			nums[j] = append(nums[j], s.tailNums[j]...)
+			nums[j] = append(nums[j], s.tailNums[j][:s.tailLen]...)
 		} else {
-			for _, code := range s.tailCats[j] {
+			for _, code := range s.tailCats[j][:s.tailLen] {
 				cats[j] = append(cats[j], s.store.dict.str(code))
 			}
 		}

@@ -296,10 +296,11 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // registers every sealed segment as spilled, with the zone maps the
 // manifest records — decoded forms come back one file read at a time as
 // queries touch them. A manifest written before zone maps were persisted
-// has them filled by decoding each segment once. The epoch is bumped and
-// committed before the store is returned, so snapshot versions from this
-// incarnation can never collide with versions any previous incarnation may
-// have handed out after its last commit.
+// has them filled by decoding each segment once, and a v1 segment file is
+// decoded once to account the footprint its decoded form now holds. The
+// epoch is bumped and committed before the store is returned, so snapshot
+// versions from this incarnation can never collide with versions any
+// previous incarnation may have handed out after its last commit.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
@@ -360,10 +361,17 @@ func Open(dir string, opts Options) (*Store, error) {
 			tier:  s.tier,
 			src:   src,
 		}
-		if sg.zones == nil {
-			// Legacy manifest: decode once so this Open's commit records
-			// the zones, and the footprint of the current decoded layout.
-			d, err := src.Load()
+		if sg.zones == nil || b.v1 {
+			// A manifest from before zone maps were persisted, or a v1
+			// segment file, whose recorded footprint counts the sorted
+			// copies v1 carried: decode once so this Open's commit records
+			// the zones and the footprint of the current decoded layout.
+			// Zones the manifest does record must match the decode.
+			load := sg.load
+			if sg.zones == nil {
+				load = src.Load
+			}
+			d, err := load()
 			if err != nil {
 				s.dictF.Close()
 				return fail(err)
@@ -447,12 +455,8 @@ func (s *Store) loadTail(b *manifestBlock) error {
 		return fmt.Errorf("store: %s: %d rows, manifest says %d (segment size %d)", b.File, d.n, b.Rows, s.segSize)
 	}
 	for j := range s.attrs {
-		if d.nums[j] != nil {
-			s.tailNums[j] = append(s.tailNums[j], d.nums[j]...)
-		}
-		if d.cats[j] != nil {
-			s.tailCats[j] = append(s.tailCats[j], d.cats[j]...)
-		}
+		copy(s.tailNums[j], d.nums[j])
+		copy(s.tailCats[j], d.cats[j])
 	}
 	s.tailLen = d.n
 	return nil
@@ -514,17 +518,7 @@ func (s *Store) commitLocked() error {
 	var tailName string
 	if s.tailLen > 0 {
 		tailName = tailFileName(seq)
-		nums := make([][]float64, len(s.attrs))
-		cats := make([][]uint32, len(s.attrs))
-		for j := range s.attrs {
-			if s.tailNums[j] != nil {
-				nums[j] = s.tailNums[j][:s.tailLen]
-			}
-			if s.tailCats[j] != nil {
-				cats[j] = s.tailCats[j][:s.tailLen]
-			}
-		}
-		size, crc, err := writeBlockFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, nums, cats, nil)
+		size, crc, err := writeBlockFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, s.tailNums, s.tailCats, nil)
 		if err != nil {
 			return err
 		}
