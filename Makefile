@@ -35,12 +35,15 @@ lint:
 	$(GO) test ./cmd/privacy3d -run 'TestMethodTableGolden|TestProtectionTableGolden|TestProtectionTableFlagsExist|TestServeFlagsGolden|TestHelpListsEveryMethod|TestProtectionHelpMatchesParser'
 
 # fuzz runs each native fuzz target for 20 s on a local machine: the CSV
-# reader, the sealed-segment decoder and the tail decoder. CI and check run
-# only their seed corpora, as part of go test.
+# reader and the store's four on-disk decoders — sealed segment, tail,
+# manifest and dictionary. CI and check run only their seed corpora, as
+# part of go test.
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeTail$$' -fuzztime 20s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 20s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeDict$$' -fuzztime 20s
 
 build:
 	$(GO) build ./...

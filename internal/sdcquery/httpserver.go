@@ -21,6 +21,7 @@ import (
 	"privacy3d/internal/dp"
 	"privacy3d/internal/obs"
 	"privacy3d/internal/sdc"
+	"privacy3d/internal/store"
 )
 
 // maxBodyBytes caps request bodies on every POST surface; oversized bodies
@@ -428,6 +429,11 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 				outcome("no-principal")
 				writeError(w, http.StatusBadRequest,
 					fmt.Sprintf("%v; set the %s header", err, PrincipalHeader))
+			case errors.Is(err, store.ErrUnreadable):
+				// A segment file failed its checksum or decode: the
+				// stored data is at fault, not the query.
+				outcome("error")
+				writeError(w, http.StatusInternalServerError, err.Error())
 			default:
 				outcome("error")
 				writeError(w, http.StatusBadRequest, err.Error())

@@ -591,11 +591,16 @@ func (s *Server) Dataset() *dataset.Dataset {
 // as dataset.Append). In-flight queries, audits and releases pinned an
 // earlier snapshot and are unaffected; the next query sees the new row.
 //
-// Under DifferentialPrivacy the per-attribute sensitivity bounds remain
-// the fixed public metadata captured at construction — by design the noise
-// scale never tracks the live data, so ingested values outside the
-// original bounds are the owner's responsibility (deriving new bounds from
-// ingested values would leak them).
+// Under DifferentialPrivacy the per-attribute sensitivity bounds stay as
+// captured at construction for this Server's lifetime: the noise scale
+// never tracks rows ingested into it, so ingested values outside those
+// bounds are the owner's responsibility (deriving new bounds from ingested
+// values would leak them). A restart does not keep them, though:
+// NewServerFromStore over the same data directory derives the bounds from
+// the stored data again (Snapshot.NumRange), ingested outliers included.
+// Declaring the bounds as persisted schema metadata is an open ROADMAP
+// item ("DP that holds against colluding principals, ingest and
+// restarts").
 func (s *Server) Ingest(vals ...any) error { return s.st.Append(vals...) }
 
 // Ask submits an anonymous query. Every query is logged before protection
@@ -748,15 +753,17 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 			evaled, err = snap.EvalBatch(batch)
 		}
 		if err != nil {
-			// Unreachable for pre-compiled conjunctions; fail the affected
-			// queries rather than the process if it ever happens.
+			// The conjunctions are pre-compiled, so this is an unreadable
+			// segment (store.ErrUnreadable): every missed query read it,
+			// so each fails with that error. The cache hits read nothing
+			// and are still answered below.
 			for _, i := range missIdx {
 				errs[i] = err
 			}
-			return answers, errs
-		}
-		for k, i := range missIdx {
-			bms[i] = evaled[k]
+		} else {
+			for k, i := range missIdx {
+				bms[i] = evaled[k]
+			}
 		}
 	}
 	// Answer in submission order so the stateful protections mutate their

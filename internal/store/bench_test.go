@@ -134,7 +134,7 @@ func BenchmarkEvalLoop8x100k(b *testing.B) {
 func sumFullSweep(s *Snapshot, bm *Bitmap, col int) float64 {
 	var sum float64
 	for _, sg := range s.segs {
-		colv := sg.acquire().nums[col]
+		colv := sg.mustAcquire().nums[col]
 		words := sg.window(bm.words)
 		for wi, w := range words {
 			base := wi << 6
@@ -208,7 +208,7 @@ func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sd := s.Snapshot().segs[0].acquire()
+	sd := s.Snapshot().segs[0].mustAcquire()
 	return sd.nums, sd.cats
 }
 
@@ -234,4 +234,58 @@ func BenchmarkSeal(b *testing.B) {
 			}
 		}
 	})
+}
+
+// openBenchDir writes a durable store of rows trial rows in default-size
+// segments and closes it, returning its directory.
+func openBenchDir(b *testing.B, rows int) string {
+	b.Helper()
+	d, err := dataset.Synth("trial", rows, 20070923)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	s, err := CreateFromDataset(dir, d, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir
+}
+
+// BenchmarkOpen times a restart of a 100k-row datadir: Open (manifest
+// recovery, dictionary and tail load, the epoch commit) and Close (the
+// final commit).
+func BenchmarkOpen(b *testing.B) {
+	dir := openBenchDir(b, 100_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadSpilled times one decode of a spilled segment: the whole
+// file read, its checksum and the column decode.
+func BenchmarkLoadSpilled(b *testing.B) {
+	s, err := Open(openBenchDir(b, DefaultSegmentSize), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	src := s.Snapshot().segs[0].src.(*fileSource)
+	b.SetBytes(src.size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sealSink, err = src.Load(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

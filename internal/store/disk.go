@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"privacy3d/internal/dataset"
 )
@@ -263,8 +264,10 @@ func (br *blockReader) f64s(n int) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	if hostLittleEndian {
+		copy(sliceBytes(out), p)
+	} else {
+		decodeF64s(out, p)
 	}
 	return out, nil
 }
@@ -275,10 +278,41 @@ func (br *blockReader) u32s(n int) ([]uint32, error) {
 		return nil, err
 	}
 	out := make([]uint32, n)
+	if hostLittleEndian {
+		copy(sliceBytes(out), p)
+	} else {
+		decodeU32s(out, p)
+	}
+	return out, nil
+}
+
+// hostLittleEndian reports whether the host stores words little-endian,
+// as the block format does: then a decoded slice's memory is exactly the
+// file's bytes, and f64s and u32s fill it with one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// sliceBytes views a typed slice's memory as bytes. The view starts at the
+// slice's own aligned first element, so copying file bytes into it never
+// forms a misaligned pointer.
+func sliceBytes[T float64 | uint32](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// decodeF64s and decodeU32s decode little-endian values one at a time:
+// the big-endian fallback of f64s and u32s.
+func decodeF64s(out []float64, p []byte) {
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	}
+}
+
+func decodeU32s(out []uint32, p []byte) {
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(p[i*4:])
 	}
-	return out, nil
 }
 
 // rowIDs decodes n row indexes of a block of rows rows, rejecting any that
@@ -301,12 +335,12 @@ func (br *blockReader) rowIDs(n, rows int, what string, col int) ([]uint32, erro
 
 // decodeBlock decodes a block file into columns and, when withIndexes (a
 // sealed segment, v2 or v1), the persisted permutations, from which it
-// derives the zone maps. It validates structure — magic, column
-// count, tags, index lengths, row indexes in range — but not the CRC:
-// every committed file's checksum was verified when the manifest was
-// chosen at Open, and immutable files don't decay between Open and read in
-// any failure model short of external corruption, which the structural
-// checks turn into an error rather than garbage or a panic.
+// derives the zone maps. It validates structure — magic, column count,
+// tags, index lengths, row indexes in range — so that any bytes decode to
+// an error or to a segment every kernel can evaluate without a panic. It
+// does not check the CRC: its callers do, over the same buffer, before
+// decoding (fileSource.Load for sealed segments, Open's validation for
+// the tail).
 func decodeBlock(br *blockReader, attrs []dataset.Attribute, withIndexes bool) (base int, d *segData, err error) {
 	head, err := br.take(8)
 	if err != nil {
@@ -415,29 +449,20 @@ func decodeBlock(br *blockReader, attrs []dataset.Attribute, withIndexes bool) (
 	return int(base64), d, nil
 }
 
-// fileCRC computes the CRC-32 (IEEE) of the first limit bytes of the file
-// (limit < 0 means the whole file), streaming so Open-time verification of
-// large segment files never materializes them. It copies the file's first
-// len(head) bytes (fewer if the file is shorter) into head.
-func fileCRC(path string, limit int64, head []byte) (uint32, error) {
+// fileCRC computes the CRC-32 (IEEE) of the first limit bytes of the
+// file, streaming.
+func fileCRC(path string, limit int64) (uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	p, _ := br.Peek(len(head)) // a shorter file fills only a prefix of head
-	copy(head, p)
-	var r io.Reader = br
-	if limit >= 0 {
-		r = io.LimitReader(r, limit)
-	}
 	h := crc32.NewIEEE()
-	n, err := io.Copy(h, r)
+	n, err := io.Copy(h, io.LimitReader(f, limit))
 	if err != nil {
 		return 0, err
 	}
-	if limit >= 0 && n != limit {
+	if n != limit {
 		return 0, fmt.Errorf("store: %s: %d bytes, want at least %d", path, n, limit)
 	}
 	return h.Sum32(), nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,11 +32,11 @@ import (
 // directory — so a manifest either exists completely or not at all, and
 // every file it references was fsync'd before the rename. Recovery (Open)
 // walks manifests newest-first and adopts the first one whose own checksum
-// AND every referenced file's size+checksum verify; anything newer is a
-// torn or corrupted commit and is deleted, and data files no manifest
-// references (torn tail of a crashed ingest) are swept. The two newest
-// manifests are kept after each commit so external corruption of the
-// newest still leaves a valid fallback.
+// verifies and whose referenced files check out (see validateManifest);
+// anything newer is a torn or corrupted commit and is deleted, and data
+// files no manifest references (torn tail of a crashed ingest) are swept.
+// The two newest manifests are kept after each commit so external
+// corruption of the newest still leaves a valid fallback.
 const (
 	manifestMagic  = "P3DMAN01"
 	manifestPrefix = "MANIFEST-"
@@ -136,15 +137,10 @@ func listManifests(dir string) ([]uint64, error) {
 // writeManifest commits m as sequence seq: temp write + fsync + atomic
 // rename + directory fsync.
 func writeManifest(dir string, seq uint64, m *manifest) error {
-	payload, err := json.Marshal(m)
+	buf, err := encodeManifest(m)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(manifestMagic)+8+len(payload))
-	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	tmp, err := os.CreateTemp(dir, "manifest.tmp*")
 	if err != nil {
 		return err
@@ -167,52 +163,78 @@ func writeManifest(dir string, seq uint64, m *manifest) error {
 	return syncDir(dir)
 }
 
-// readManifest parses and checksum-verifies one manifest file.
+// encodeManifest renders m as the bytes of a manifest file.
+func encodeManifest(m *manifest) ([]byte, error) {
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, len(manifestMagic)+8+len(payload))
+	buf = append(buf, manifestMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), nil
+}
+
+// readManifest reads and decodes one manifest file.
 func readManifest(path string) (*manifest, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	m, err := decodeManifest(raw)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// decodeManifest parses and checksum-verifies the bytes of one manifest
+// file.
+func decodeManifest(raw []byte) (*manifest, error) {
 	if len(raw) < len(manifestMagic)+8 || string(raw[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("store: %s: not a manifest", path)
+		return nil, fmt.Errorf("not a manifest")
 	}
 	n := binary.LittleEndian.Uint32(raw[len(manifestMagic):])
 	body := raw[len(manifestMagic)+4:]
 	if uint32(len(body)) != n+4 {
-		return nil, fmt.Errorf("store: %s: truncated manifest (%d payload bytes, header says %d)", path, len(body)-4, n)
+		return nil, fmt.Errorf("truncated manifest (%d payload bytes, header says %d)", len(body)-4, n)
 	}
 	payload, sum := body[:n], binary.LittleEndian.Uint32(body[n:])
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("store: %s: manifest checksum mismatch", path)
+		return nil, fmt.Errorf("manifest checksum mismatch")
 	}
 	var m manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+		return nil, err
 	}
 	return &m, nil
 }
 
-// validateManifest verifies every file the manifest references: exact size
-// and streaming CRC for each sealed segment and the tail, and the
-// committed DICT prefix. A manifest that passes describes state that Open
-// can serve verbatim.
+// validateManifest checks every file the manifest references. Sealed
+// segment files are checked for existence and exact size only, and their
+// magic is read to note SEG v1: their checksums are verified on every
+// read (fileSource.Load), where the bytes are in memory anyway, so Open
+// does not read the dataset. The tail file and the committed DICT prefix,
+// which Open reads in full, are checksummed here, so a torn tail or
+// dictionary fails the commit and recovery falls back to the previous one.
 func validateManifest(dir string, m *manifest) error {
 	for i := range m.Segments {
 		b := &m.Segments[i]
 		if err := validateZones(b, len(m.Attrs)); err != nil {
 			return err
 		}
-		if err := validateBlockFile(dir, b); err != nil {
+		if err := validateSegmentFile(dir, b); err != nil {
 			return err
 		}
 	}
 	if m.Tail != nil {
-		if err := validateBlockFile(dir, m.Tail); err != nil {
+		if err := validateTailFile(dir, m.Tail); err != nil {
 			return err
 		}
 	}
 	if m.DictBytes > 0 {
-		crc, err := fileCRC(filepath.Join(dir, dictFileName), m.DictBytes, nil)
+		crc, err := fileCRC(filepath.Join(dir, dictFileName), m.DictBytes)
 		if err != nil {
 			return fmt.Errorf("store: dictionary: %w", err)
 		}
@@ -243,26 +265,51 @@ func validateZones(b *manifestBlock, cols int) error {
 	return nil
 }
 
-// validateBlockFile checks b's file against its recorded size and CRC and
-// notes whether it is a SEG v1 segment.
-func validateBlockFile(dir string, b *manifestBlock) error {
+// validateSegmentFile checks that b's segment file has its recorded size
+// and notes from its magic whether it is a SEG v1 segment.
+func validateSegmentFile(dir string, b *manifestBlock) error {
 	path := filepath.Join(dir, b.File)
-	fi, err := os.Stat(path)
+	if err := checkSize(path, b.Size); err != nil {
+		return err
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if fi.Size() != b.Size {
-		return fmt.Errorf("store: %s: size %d, manifest says %d", path, fi.Size(), b.Size)
-	}
+	defer f.Close()
 	var head [len(segMagicV1)]byte
-	crc, err := fileCRC(path, -1, head[:])
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return fmt.Errorf("store: %s: %w", path, err)
+	}
+	b.v1 = string(head[:]) == segMagicV1
+	return nil
+}
+
+// validateTailFile checks the tail file against its recorded size and CRC.
+func validateTailFile(dir string, b *manifestBlock) error {
+	path := filepath.Join(dir, b.File)
+	if err := checkSize(path, b.Size); err != nil {
+		return err
+	}
+	crc, err := fileCRC(path, b.Size)
 	if err != nil {
 		return err
 	}
 	if crc != b.CRC {
 		return fmt.Errorf("store: %s: checksum mismatch", path)
 	}
-	b.v1 = string(head[:]) == segMagicV1
+	return nil
+}
+
+// checkSize fails unless the file at path has exactly size bytes.
+func checkSize(path string, size int64) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	if fi.Size() != size {
+		return fmt.Errorf("store: %s: size %d, manifest says %d", path, fi.Size(), size)
+	}
 	return nil
 }
 

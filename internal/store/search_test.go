@@ -236,7 +236,7 @@ func heldBytes(v reflect.Value) int64 {
 func TestFootprintCountsHeldSlices(t *testing.T) {
 	_, side := sideStore(t)
 	for i, sg := range side.segs {
-		d := sg.acquire()
+		d := sg.mustAcquire()
 		if got, want := d.footprint(), heldBytes(reflect.ValueOf(d)); got != want {
 			t.Errorf("side segment %d: footprint %d, holds %d bytes", i, got, want)
 		}
@@ -256,7 +256,7 @@ func TestFootprintCountsHeldSlices(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("trial store sealed %d segments, want 1", len(segs))
 	}
-	d := segs[0].acquire()
+	d := segs[0].mustAcquire()
 	if got, want := d.footprint(), heldBytes(reflect.ValueOf(d)); got != want {
 		t.Errorf("trial segment: footprint %d, holds %d bytes", got, want)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -81,24 +82,30 @@ type SegmentSource interface {
 	Name() string
 }
 
+// ErrUnreadable wraps every failure to read a spilled segment back while
+// answering: a file whose bytes no longer match the checksum its manifest
+// recorded, a decode error, a read error, or a store closed underneath the
+// snapshot. It is a fault of the stored data, never of the query.
+var ErrUnreadable = errors.New("store: sealed segment unreadable")
+
 // acquire returns the segment's decoded data. The fast path — resident
 // data — is one atomic load. A spilled segment is decoded through load
-// (one file read, column decode) and, when the memory cap has room,
-// promoted back into the resident tier so later queries pay nothing.
-// Decode failures panic: the manifest verified every committed file at
-// Open, so a failure here means the file was corrupted or removed
-// underneath a live store — an invariant violation, not a recoverable
-// condition.
-func (sg *segment) acquire() *segData {
+// (one file read, checksum, column decode) and, when the memory cap has
+// room, promoted back into the resident tier so later queries pay nothing.
+// Open checks only each segment file's size, so the checksum in load is
+// what verifies the bytes; a failed load is returned wrapped in
+// ErrUnreadable and leaves the segment spilled, so every later acquire
+// reads and verifies the file again.
+func (sg *segment) acquire() (*segData, error) {
 	if sg.tier != nil {
 		sg.lastUse.Store(sg.tier.useClock.Add(1))
 	}
 	if d := sg.data.Load(); d != nil {
-		return d
+		return d, nil
 	}
 	d, err := sg.load()
 	if err != nil {
-		panic("store: spilled segment unreadable under a live store: " + err.Error())
+		return nil, fmt.Errorf("%w: %w", ErrUnreadable, err)
 	}
 	if sg.tier.admit(sg.bytes) {
 		if sg.data.CompareAndSwap(nil, d) {
@@ -107,6 +114,21 @@ func (sg *segment) acquire() *segData {
 			sg.tier.unadmit(sg.bytes)
 			d = sg.data.Load() // another reader promoted first; share its copy
 		}
+	}
+	return d, nil
+}
+
+// mustAcquire is acquire for the readers whose signatures carry no error
+// (Snapshot.Sum, Float, Cat, Materialize). For Sum, Float and Cat a
+// query's Eval has already read and verified every segment its answer
+// re-reads (with or without conditions), so a failure there means the
+// file changed underneath a live store between the two reads. Materialize
+// has no Eval before it. Either way it panics, and a serving layer's panic
+// recovery answers with an error.
+func (sg *segment) mustAcquire() *segData {
+	d, err := sg.acquire()
+	if err != nil {
+		panic(err)
 	}
 	return d
 }

@@ -206,7 +206,7 @@ func TestV1SegmentsReaccountedAtOpen(t *testing.T) {
 	r.Snapshot().Materialize() // promotes every segment
 	var want int64
 	for i, sg := range r.Snapshot().segs {
-		fp := sg.acquire().footprint()
+		fp := sg.mustAcquire().footprint()
 		if sg.bytes != fp {
 			t.Errorf("segment %d: handle accounts %d bytes, footprint %d", i, sg.bytes, fp)
 		}
@@ -224,7 +224,7 @@ func TestV1SegmentsReaccountedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range m.Segments {
-		if fp := r.Snapshot().segs[i].acquire().footprint(); b.Decoded != fp {
+		if fp := r.Snapshot().segs[i].mustAcquire().footprint(); b.Decoded != fp {
 			t.Errorf("segment %d: committed decoded footprint %d, want %d", i, b.Decoded, fp)
 		}
 	}

@@ -96,8 +96,11 @@ func (s *Store) SegmentEvals() int64 { return s.segEvals.Load() }
 // shard visit no matter how many conjunctions perSeg evaluates against it.
 // The per-shard segment counts are gathered in shard order (par.MapTasks)
 // and folded into the store's work counter with a single atomic add — no
-// per-segment synchronisation anywhere.
-func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64), tail func()) {
+// per-segment synchronisation anywhere. The first segment that fails to
+// acquire (an unreadable spilled file) is the returned error; once it is
+// set, every task stops acquiring, and the caller must discard whatever
+// perSeg wrote.
+func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64), tail func()) error {
 	active := make([]int, 0, len(s.byShard))
 	for i := range s.byShard {
 		if len(s.byShard[i]) > 0 {
@@ -109,8 +112,9 @@ func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64
 		tasks++
 	}
 	if tasks == 0 {
-		return
+		return nil
 	}
+	var failed atomic.Pointer[error]
 	counts := par.MapTasks(par.Default(), tasks, func(t int) int {
 		if t >= len(active) {
 			tail()
@@ -118,10 +122,18 @@ func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64
 		}
 		segs := s.byShard[active[t]]
 		sw := s.store.getScratch()
-		for _, sg := range segs {
-			perSeg(sg, sg.acquire(), *sw)
+		defer s.store.putScratch(sw)
+		for i, sg := range segs {
+			if failed.Load() != nil {
+				return i
+			}
+			d, err := sg.acquire()
+			if err != nil {
+				keepFirst(&failed, err)
+				return i
+			}
+			perSeg(sg, d, *sw)
 		}
-		s.store.putScratch(sw)
 		return len(segs)
 	})
 	total := 0
@@ -129,7 +141,25 @@ func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64
 		total += c
 	}
 	s.store.segEvals.Add(int64(total))
+	if err := failed.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
+
+// readAll acquires every sealed segment and evaluates nothing. A query
+// with no conditions selects every row, so its answer (Sum, Float) reads
+// every segment; acquiring them here first makes an unreadable spilled
+// file that query's error, before any protection state moves, rather than
+// a panic in the reader.
+func (s *Snapshot) readAll() error {
+	return s.scatter(func(*segment, *segData, []uint64) {}, func() {})
+}
+
+// keepFirst stores err in first unless an error is already there. Its
+// parameter moves to the heap only when it is called: taking the address
+// of scatter's own loop variable would allocate once per segment.
+func keepFirst(first *atomic.Pointer[error], err error) { first.CompareAndSwap(nil, &err) }
 
 // evalTail scans the unindexed open tail with the compiled conjunction.
 func (s *Snapshot) evalTail(cc []compiledCond, bm *Bitmap) {
@@ -156,7 +186,9 @@ func (sg *segment) window(words []uint64) []uint64 {
 // reusing one pooled scratch window — and the unindexed tail falls back to
 // a compiled scan. The gathered bitmap is exact, so the parallelism cannot
 // perturb any answer: byte-identical to the single-threaded path at every
-// worker and shard count.
+// worker and shard count. A spilled segment whose file fails its checksum
+// or decode fails the query with an error wrapping ErrUnreadable that
+// names the file; no bitmap is returned.
 func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
@@ -164,6 +196,9 @@ func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 	}
 	bm := NewBitmap(s.rows)
 	if len(cc) == 0 {
+		if err := s.readAll(); err != nil {
+			return nil, err
+		}
 		bm.SetAll()
 		return bm, nil
 	}
@@ -171,10 +206,12 @@ func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 	if p.empty {
 		return bm, nil
 	}
-	s.scatter(
+	if err := s.scatter(
 		func(sg *segment, d *segData, scratch []uint64) { d.eval(p, sg.window(bm.words), scratch) },
 		func() { s.evalTail(cc, bm) },
-	)
+	); err != nil {
+		return nil, err
+	}
 	return bm, nil
 }
 
@@ -182,7 +219,7 @@ func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 // every segment and the tail — the reference path the indexes must stay
 // byte-identical to, and the fallback a -scan server runs. It scatters over
 // the same shards as Eval, so indexed-vs-scan benchmarks compare index
-// structure, not scheduling.
+// structure, not scheduling. Unreadable segments fail it as they fail Eval.
 func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
@@ -190,10 +227,13 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 	}
 	bm := NewBitmap(s.rows)
 	if len(cc) == 0 {
+		if err := s.readAll(); err != nil {
+			return nil, err
+		}
 		bm.SetAll()
 		return bm, nil
 	}
-	s.scatter(
+	if err := s.scatter(
 		func(sg *segment, d *segData, _ []uint64) {
 			w := sg.window(bm.words)
 			for i := 0; i < sg.n; i++ {
@@ -203,7 +243,9 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 			}
 		},
 		func() { s.evalTail(cc, bm) },
-	)
+	); err != nil {
+		return nil, err
+	}
 	return bm, nil
 }
 
@@ -216,12 +258,14 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 // exactly the per-segment operations Eval would run for it alone, so every
 // batched bitmap is word-identical to the corresponding single-query Eval.
 // An uncompilable conjunction fails the whole batch (callers validating
-// queries individually should compile them first).
+// queries individually should compile them first), and so does an
+// unreadable segment, as in Eval.
 func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 	out := make([]*Bitmap, len(batch))
 	ccs := make([][]compiledCond, len(batch))
 	plans := make([]*plan, len(batch))
 	active := make([]int, 0, len(batch)) // queries that must visit segments
+	selectAll := false                   // some query has no conditions
 	for k, conds := range batch {
 		cc, err := s.compile(conds)
 		if err != nil {
@@ -230,6 +274,7 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 		out[k] = NewBitmap(s.rows)
 		if len(cc) == 0 {
 			out[k].SetAll()
+			selectAll = true
 			continue
 		}
 		p := planConds(cc)
@@ -239,10 +284,12 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 		ccs[k], plans[k] = cc, p
 		active = append(active, k)
 	}
-	if len(active) == 0 {
+	if len(active) == 0 && !selectAll {
 		return out, nil
 	}
-	s.scatter(
+	// The sweep acquires every segment even when only selectAll queries
+	// remain (active is empty): see readAll.
+	if err := s.scatter(
 		func(sg *segment, d *segData, scratch []uint64) {
 			for _, k := range active {
 				d.eval(plans[k], sg.window(out[k].words), scratch)
@@ -258,7 +305,9 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 				}
 			}
 		},
-	)
+	); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

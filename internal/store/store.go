@@ -42,7 +42,8 @@
 // two-tiered: sealing also writes the segment — raw columns plus its
 // indexes, CRC-checksummed — to disk, and under Options.MemCap decoded
 // segments spill out of memory and are decoded again on demand from one
-// read of their file; the resident tier is the only cache. Every reader
+// checksum-verified read of their file; the resident tier is the only
+// cache. Every reader
 // goes through segment.acquire, which is tier-blind, so answers are
 // byte-identical wherever the bytes live. Zone maps stay on the segment
 // handle (and in the manifest), so NumRange never decodes.
@@ -587,7 +588,9 @@ func (s *Snapshot) Count(bm *Bitmap) int { return bm.Count() }
 // for the rows they select, not for the full sweep. Adding zero terms in
 // order and skipping them produce the same float64, so the skips cannot
 // change a single byte of the answer. It panics if col is not numeric,
-// mirroring dataset.NumColumn.
+// mirroring dataset.NumColumn. The segments it reads are those the Eval
+// that produced bm read and verified; one that has become unreadable
+// since makes Sum panic (see segment.mustAcquire).
 func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 	if s.store.attrs[col].Kind != dataset.Numeric {
 		panic(fmt.Sprintf("store: attribute %q is not numeric", s.store.attrs[col].Name))
@@ -598,7 +601,7 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 		if !anyWord(words) {
 			continue
 		}
-		colv := sg.acquire().nums[col]
+		colv := sg.mustAcquire().nums[col]
 		for wi, w := range words {
 			if w == 0 {
 				continue
@@ -622,19 +625,21 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 }
 
 // Float returns the numeric value at (row i, column col). It panics on a
-// non-numeric column or out-of-range row, mirroring slice indexing.
+// non-numeric column or out-of-range row, mirroring slice indexing, and on
+// an unreadable spilled segment, like Sum.
 func (s *Snapshot) Float(i, col int) float64 {
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		return s.segs[sg].acquire().nums[col][i%s.store.segSize]
+		return s.segs[sg].mustAcquire().nums[col][i%s.store.segSize]
 	}
 	return s.tailNums[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 }
 
-// Cat returns the categorical value at (row i, column col).
+// Cat returns the categorical value at (row i, column col). It panics on
+// an unreadable spilled segment, like Sum.
 func (s *Snapshot) Cat(i, col int) string {
 	var code uint32
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		code = s.segs[sg].acquire().cats[col][i%s.store.segSize]
+		code = s.segs[sg].mustAcquire().cats[col][i%s.store.segSize]
 	} else {
 		code = s.tailCats[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 	}
@@ -673,7 +678,9 @@ func (s *Snapshot) NumRange(col int) (lo, hi float64) {
 
 // Materialize exports the snapshot as a dataset (column-wise copy,
 // dictionary codes decoded). Masked releases run off this, so /protect
-// sees exactly the version pinned at request time.
+// sees exactly the version pinned at request time. It reads every sealed
+// segment and panics on one whose file fails its checksum or decode
+// (see segment.mustAcquire), so a corrupt store never yields a release.
 func (s *Snapshot) Materialize() *dataset.Dataset {
 	nums := make([][]float64, len(s.store.attrs))
 	cats := make([][]string, len(s.store.attrs))
@@ -687,7 +694,7 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 	// Segment-outer order so each spilled segment is decoded once for all
 	// of its columns, not once per column.
 	for _, sg := range s.segs {
-		d := sg.acquire()
+		d := sg.mustAcquire()
 		for j, a := range s.store.attrs {
 			if a.Kind == dataset.Numeric {
 				nums[j] = append(nums[j], d.nums[j]...)

@@ -142,6 +142,18 @@ func (t *tierState) file(ord int, name string) (*os.File, error) {
 	return f, nil
 }
 
+// forget closes segment ord's cached handle if it is still f, so the next
+// read opens the file by name again: a file restored by rename is then
+// read, not the corrupt one the old handle still points at.
+func (t *tierState) forget(ord int, f *os.File) {
+	t.fmu.Lock()
+	defer t.fmu.Unlock()
+	if t.files[ord] == f {
+		delete(t.files, ord)
+		f.Close()
+	}
+}
+
 // close drops the file handles and retires the store's gauge contribution.
 func (t *tierState) close() {
 	t.fmu.Lock()
@@ -158,8 +170,10 @@ func (t *tierState) close() {
 }
 
 // fileSource is the SegmentSource for a sealed segment persisted in the
-// store directory: each Load reads the whole segment file with one ReadAt
-// and decodes it straight out of that buffer.
+// store directory: each Load reads the whole segment file with one ReadAt,
+// checks its CRC against the manifest's, and decodes it straight out of
+// that buffer. Open checks only the file's size, so this is where the
+// file's bytes are verified, on every decode.
 type fileSource struct {
 	t       *tierState
 	ord     int
@@ -182,6 +196,10 @@ func (fs *fileSource) Load() (*segData, error) {
 	}
 	fs.t.spilledReads.Add(1)
 	gSpilledReads.Add(1)
+	if crc := crc32.ChecksumIEEE(buf); crc != fs.crc {
+		fs.t.forget(fs.ord, f)
+		return nil, fmt.Errorf("store: %s: checksum mismatch (file %08x, manifest %08x)", fs.name, crc, fs.crc)
+	}
 	_, d, err := decodeBlock(&blockReader{buf: buf, name: fs.name}, fs.t.attrs, true)
 	if err == nil && d.n != fs.t.segSize {
 		return nil, fmt.Errorf("store: %s: %d rows, segment size is %d", fs.name, d.n, fs.t.segSize)
@@ -291,16 +309,19 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 }
 
 // Open recovers the store committed in dir: it adopts the newest manifest
-// whose checksum and every referenced file's checksum verify (deleting
-// torn newer ones), loads the committed dictionary prefix and tail, and
+// whose checksum verifies and whose files check out — each segment file's
+// size, the tail file's and the dictionary prefix's checksums (deleting
+// torn newer ones) — loads the committed dictionary prefix and tail, and
 // registers every sealed segment as spilled, with the zone maps the
-// manifest records — decoded forms come back one file read at a time as
-// queries touch them. A manifest written before zone maps were persisted
-// has them filled by decoding each segment once, and a v1 segment file is
-// decoded once to account the footprint its decoded form now holds. The
-// epoch is bumped and committed before the store is returned, so snapshot
-// versions from this incarnation can never collide with versions any
-// previous incarnation may have handed out after its last commit.
+// manifest records — decoded forms come back one checksum-verified file
+// read at a time as queries touch them. A manifest written before zone
+// maps were persisted has them filled by decoding each segment once, and
+// a v1 segment file is decoded once to account the footprint its decoded
+// form now holds; those decodes check the CRC too, so a corrupt one fails
+// Open. The epoch is bumped and committed before the store is returned,
+// so snapshot versions from this incarnation can never collide with
+// versions any previous incarnation may have handed out after its last
+// commit.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
@@ -417,13 +438,12 @@ func (s *Store) loadDict(m *manifest) error {
 		if _, err := io.ReadFull(io.NewSectionReader(s.dictF, 0, m.DictBytes), buf); err != nil {
 			return fmt.Errorf("store: dictionary: %w", err)
 		}
-		for len(buf) > 0 {
-			n, w := binary.Uvarint(buf)
-			if w <= 0 || uint64(len(buf)-w) < n {
-				return fmt.Errorf("store: dictionary: corrupt entry at byte %d", m.DictBytes-int64(len(buf)))
-			}
-			s.dict.intern(string(buf[w : w+int(n)]))
-			buf = buf[w+int(n):]
+		strs, err := decodeDict(buf)
+		if err != nil {
+			return err
+		}
+		for _, str := range strs {
+			s.dict.intern(str)
 		}
 	}
 	if len(s.dict.strs) != m.DictLen {
@@ -439,6 +459,24 @@ func (s *Store) loadDict(m *manifest) error {
 	s.dictBytes = m.DictBytes
 	s.dictCRC = m.DictCRC
 	return nil
+}
+
+// decodeDict parses a DICT prefix: a sequence of entries, each a uvarint
+// byte length followed by that many bytes. A length must be in the
+// shortest encoding, as the writer emits it, so an accepted prefix is
+// exactly the bytes its entries encode to.
+func decodeDict(buf []byte) ([]string, error) {
+	var strs []string
+	for off := 0; off < len(buf); {
+		n, w := binary.Uvarint(buf[off:])
+		if w <= 0 || w > 1 && buf[off+w-1] == 0 || uint64(len(buf)-off-w) < n {
+			return nil, fmt.Errorf("store: dictionary: corrupt entry at byte %d", off)
+		}
+		off += w
+		strs = append(strs, string(buf[off:off+int(n)]))
+		off += int(n)
+	}
+	return strs, nil
 }
 
 // loadTail decodes the committed tail file into fresh tail buffers.

@@ -196,7 +196,7 @@ func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
 	var wantBytes []int64
 	for _, sg := range s.Snapshot().segs {
 		wantZones = append(wantZones, sg.zones)
-		wantBytes = append(wantBytes, sg.acquire().footprint())
+		wantBytes = append(wantBytes, sg.mustAcquire().footprint())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
