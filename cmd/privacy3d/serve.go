@@ -87,7 +87,7 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	o.grace = fs.Duration("grace", obs.DefaultShutdownGrace, "graceful-shutdown drain window")
 	o.workers = workersFlag(fs)
 	o.segment = fs.Int("segment", 0,
-		"columnar store rows per sealed segment, a positive multiple of 64 (0 uses the default, 8192)")
+		"columnar store rows per sealed segment, a multiple of 64 in [64, 65536] (0 uses the default, 8192)")
 	o.scan = fs.Bool("scan", false,
 		"answer predicates by the compiled row scan instead of the segment indexes (A/B baseline; answers are byte-identical)")
 	o.shards = fs.Int("shards", 0,

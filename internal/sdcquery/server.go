@@ -262,8 +262,8 @@ type Config struct {
 	MaxTrackedQueries int
 
 	// SegmentSize is the rows-per-segment of the columnar store backing
-	// the server (default store.DefaultSegmentSize; must be a positive
-	// multiple of 64). Smaller segments seal — and therefore index —
+	// the server (default store.DefaultSegmentSize; must be a multiple
+	// of 64 in [64, store.MaxSegmentSize]). Smaller segments seal — and therefore index —
 	// ingested rows sooner at the cost of more per-segment overhead.
 	SegmentSize int
 	// ForceScan answers predicates by the compiled row-at-a-time scan

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 
 	"privacy3d/internal/dataset"
@@ -134,12 +136,12 @@ func BenchmarkEvalLoop8x100k(b *testing.B) {
 func sumFullSweep(s *Snapshot, bm *Bitmap, col int) float64 {
 	var sum float64
 	for _, sg := range s.segs {
-		colv := sg.mustAcquire().nums[col]
+		c := &sg.mustAcquire().nums[col]
 		words := sg.window(bm.words)
 		for wi, w := range words {
 			base := wi << 6
 			for w != 0 {
-				sum += colv[base+bits.TrailingZeros64(w)]
+				sum += c.at(base + bits.TrailingZeros64(w))
 				w &= w - 1
 			}
 		}
@@ -183,6 +185,25 @@ func BenchmarkSumSparse100k(b *testing.B) {
 	}
 }
 
+// BenchmarkSumDense100k sums over a one-sided threshold that selects
+// about 70% of the rows, so almost every word is non-zero and the bit loop
+// reads a dictionary value per selected row.
+func BenchmarkSumDense100k(b *testing.B) {
+	snap := benchSnapshot(b, 100_000)
+	bm, err := snap.Eval(thresholdConds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if share := float64(bm.Count()) / float64(snap.Rows()); share < 0.6 || share > 0.8 {
+		b.Fatalf("dense selection covers %.2f of the rows", share)
+	}
+	bp := snap.Index("blood_pressure")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = snap.Sum(bm, bp)
+	}
+}
+
 func BenchmarkSumSparseFullSweep100k(b *testing.B) {
 	snap := benchSnapshot(b, 100_000)
 	bm := sparseBenchBitmap(b, snap)
@@ -196,20 +217,31 @@ func BenchmarkSumSparseFullSweep100k(b *testing.B) {
 	}
 }
 
-// sealBenchColumns returns the columns of one sealed 8192-row trial
-// segment: the input a seal indexes and writes.
-func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32) {
+// sealBenchColumns returns the columns of one 8192-row trial segment as
+// the open tail holds them, and the schema: the input a seal indexes and
+// writes.
+func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32, []dataset.Attribute) {
 	b.Helper()
 	d, err := dataset.Synth("trial", DefaultSegmentSize, 20070923)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := FromDataset(d, DefaultSegmentSize)
+	s, err := New(d.Attrs(), DefaultSegmentSize)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sd := s.Snapshot().segs[0].mustAcquire()
-	return sd.nums, sd.cats
+	nums, cats := make([][]float64, d.Cols()), make([][]uint32, d.Cols())
+	for j, a := range d.Attrs() {
+		if a.Kind == dataset.Numeric {
+			nums[j] = d.NumColumn(j)
+			continue
+		}
+		cats[j] = make([]uint32, d.Rows())
+		for i, str := range d.CatColumn(j) {
+			cats[j][i] = s.dict.intern(str)
+		}
+	}
+	return nums, cats, d.Attrs()
 }
 
 // sealSink keeps BenchmarkSeal's index builds live.
@@ -219,7 +251,7 @@ var sealSink *segData
 // building its indexes and writing its checksummed file (tmp + fsync +
 // rename). The index sub-benchmark times the index build alone.
 func BenchmarkSeal(b *testing.B) {
-	nums, cats := sealBenchColumns(b)
+	nums, cats, attrs := sealBenchColumns(b)
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sealSink = buildSegData(nums, cats)
@@ -229,7 +261,7 @@ func BenchmarkSeal(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
 			d := buildSegData(nums, cats)
-			if _, _, err := writeBlockFile(dir, segFileName(0), 0, d.n, d.nums, d.cats, d); err != nil {
+			if _, _, err := writeSegFile(dir, segFileName(0), 0, attrs, d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,5 +319,84 @@ func BenchmarkLoadSpilled(b *testing.B) {
 		if sealSink, err = src.Load(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// spanQueries draws 64 conjunctions of each cache-miss query shape the
+// perfbench miss_1m mix serves, with its constants: a narrow band on
+// height or weight, a one-sided threshold on one of the five numeric
+// columns, and aids = Y with such a threshold.
+func spanQueries(seed int64) map[string][][]Cond {
+	rng := rand.New(rand.NewSource(seed))
+	cols := []struct {
+		name     string
+		mean, sd float64
+	}{{"height", 170, 9}, {"weight", 74, 13}, {"qi3", 50, 15}, {"qi4", 50, 15}, {"blood_pressure", 121, 10}}
+	round2 := func(x float64) float64 { return math.Round(x*100) / 100 }
+	threshold := func() Cond {
+		c := cols[rng.Intn(len(cols))]
+		op := Lt
+		if rng.Intn(2) == 1 {
+			op = Ge
+		}
+		return Cond{Col: c.name, Op: op, V: round2(c.mean + c.sd*(3*rng.Float64()-1.5))}
+	}
+	out := map[string][][]Cond{}
+	for q := 0; q < 64; q++ {
+		c := cols[rng.Intn(2)]
+		lo := round2(c.mean + c.sd*(4*rng.Float64()-2))
+		out["band"] = append(out["band"], []Cond{{Col: c.name, Op: Ge, V: lo}, {Col: c.name, Op: Lt, V: round2(lo + 0.2 + 1.8*rng.Float64())}})
+		out["threshold"] = append(out["threshold"], []Cond{threshold()})
+		out["aids_threshold"] = append(out["aids_threshold"], []Cond{{Col: "aids", Op: Eq, S: "Y", Str: true}, threshold()})
+	}
+	return out
+}
+
+// spanSink keeps BenchmarkSpan's resolved spans live.
+var spanSink int
+
+// resolveSpans resolves every conjunct of p against d, as eval does
+// before it writes a bit.
+func resolveSpans(d *segData, p *plan) int {
+	k := 0
+	for i := range p.ivs {
+		iv := &p.ivs[i]
+		k += d.nums[iv.col].span(iv.lo, !iv.loIncl, iv.hi, !iv.hiIncl).k
+	}
+	for _, c := range p.rest {
+		k += d.equalSpan(c).k
+	}
+	return k
+}
+
+// BenchmarkSpan times the search alone: resolving the spans of 64
+// miss_1m-shaped queries of one shape on every segment of a 1M-row trial
+// snapshot (122 segments), with no bit written. It reports µs/query.
+func BenchmarkSpan(b *testing.B) {
+	snap := benchSnapshot(b, 1_000_000)
+	segs := make([]*segData, len(snap.segs))
+	for i, sg := range snap.segs {
+		segs[i] = sg.mustAcquire()
+	}
+	queries := spanQueries(20070923)
+	for _, shape := range []string{"band", "threshold", "aids_threshold"} {
+		var plans []*plan
+		for _, q := range queries[shape] {
+			cc, err := snap.compile(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans = append(plans, planConds(cc))
+		}
+		b.Run(shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range plans {
+					for _, d := range segs {
+						spanSink += resolveSpans(d, p)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(plans)), "µs/query")
+		})
 	}
 }

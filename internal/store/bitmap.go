@@ -157,14 +157,14 @@ func countWords(ws []uint64) int {
 func setBit(ws []uint64, r uint32) { ws[r>>6] |= 1 << (r & 63) }
 
 // setRows marks every local row of rows in a word window.
-func setRows(ws []uint64, rows []uint32) {
+func setRows(ws []uint64, rows []uint16) {
 	for _, r := range rows {
 		ws[r>>6] |= 1 << (r & 63)
 	}
 }
 
 // clearRows unmarks every local row of rows in a word window.
-func clearRows(ws []uint64, rows []uint32) {
+func clearRows(ws []uint64, rows []uint16) {
 	for _, r := range rows {
 		ws[r>>6] &^= 1 << (r & 63)
 	}

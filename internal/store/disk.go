@@ -14,32 +14,44 @@ import (
 	"privacy3d/internal/dataset"
 )
 
-// On-disk sealed-segment format (little-endian throughout):
+// On-disk block formats (little-endian throughout). Both start with
 //
-//	magic   8B  "P3DSEG02" (tail files use "P3DTAIL1")
+//	magic   8B  "P3DSEG03" (sealed segment) or "P3DTAIL1" (open tail)
 //	ncols   u32 column count (must match the schema)
 //	rows    u32 rows in the block
 //	base    u64 global row index of the first row
-//	per column, in schema order:
-//	  tag   u8  1 = numeric, 2 = categorical
-//	  numeric:     rows × f64 values
-//	               permLen u32, then permLen × u32 perm,
-//	               (rows-permLen) × u32 nan rows
-//	  categorical: rows × u32 dictionary codes
-//	               rows × u32 perm
+//
+// then hold one block per column, in schema order, each opened by a tag u8
+// (1 = numeric, 2 = categorical), and end with
+//
 //	crc     u32 CRC-32 (IEEE) over everything before it
 //
-// The permutations are persisted exactly as buildSegData produced them,
-// and the zone maps are derived from them and the columns on decode
-// exactly as at seal time, so a decoded segment is
-// bit-for-bit the segData that was sealed — byte-identical answers across
-// tiers reduce to that equality. The v1 format ("P3DSEG01") also carried a
-// sorted copy of every index (permLen × f64 after a numeric perm, rows ×
-// u32 after a categorical one); v1 files still decode, skipping those
-// blocks. Tail files persist only the raw columns because the tail is
-// always evaluated by the compiled scan.
+// A sealed segment (SEG v3) column holds only its dictionary and its row
+// codes:
+//
+//	ndict   u32 dictionary entries, 1..rows (0 for a 0-row block)
+//	dict    ndict × f64 values (numeric) or ndict × u32 store-wide codes
+//	        (categorical), strictly ascending in entryLess order
+//	codes   rows × u16, each row's index into dict
+//
+// The index (perm, start, the NaN rows) is not stored: decodeSegment
+// rebuilds it with indexCodes, the counting pass seal uses, so a decoded
+// segment is bit-for-bit the segData that was sealed — byte-identical
+// answers across tiers reduce to that equality — and a file has no
+// permutation to get wrong. A tail column holds rows × f64 values or
+// rows × u32 codes: the tail is always evaluated by the compiled scan.
+//
+// Older segment files still decode, converted into the dictionary-coded
+// form by the seal build over their raw columns. SEG v2 ("P3DSEG02") held
+// per column the raw values (rows × f64 or rows × u32) and the persisted
+// index: numeric permLen u32, permLen × u32 perm, (rows-permLen) × u32 NaN
+// rows; categorical rows × u32 perm. SEG v1 ("P3DSEG01") also followed
+// every permutation with a sorted copy of the values it orders (permLen ×
+// f64 after a numeric perm, rows × u32 after a categorical one). The
+// decoder skips those index blocks.
 const (
-	segMagic   = "P3DSEG02"
+	segMagic   = "P3DSEG03"
+	segMagicV2 = "P3DSEG02"
 	segMagicV1 = "P3DSEG01"
 	tailMagic  = "P3DTAIL1"
 
@@ -47,160 +59,69 @@ const (
 	tagCategorical = 2
 )
 
-// crcWriter tees writes into a running CRC-32. Typed slices are encoded
-// into buf a chunk at a time, so each chunk costs one CRC update and one
-// write rather than one of each per value.
+// crcWriter tees writes into a running CRC-32. Its write errors are the
+// bufio.Writer's, which are sticky: once one fails every later write and
+// the final Flush report it, so only the Flush is checked.
 type crcWriter struct {
 	w   *bufio.Writer
 	crc uint32
-	buf []byte
 }
 
-// crcChunk is the most bytes f64s and u32s encode per CRC update and write.
-const crcChunk = 64 << 10
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
+func (cw *crcWriter) bytes(p []byte) {
 	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
+	cw.w.Write(p)
 }
 
-func (cw *crcWriter) u8(v uint8) error { return cw.bytes([]byte{v}) }
+func (cw *crcWriter) u8(v uint8) { cw.bytes([]byte{v}) }
 
-func (cw *crcWriter) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return cw.bytes(b[:])
+func (cw *crcWriter) u32(v uint32) { cw.bytes(binary.LittleEndian.AppendUint32(nil, v)) }
+
+func (cw *crcWriter) u64(v uint64) { cw.bytes(binary.LittleEndian.AppendUint64(nil, v)) }
+
+// header writes a block header.
+func (cw *crcWriter) header(magic string, ncols, rows, base int) {
+	cw.bytes([]byte(magic))
+	cw.u32(uint32(ncols))
+	cw.u32(uint32(rows))
+	cw.u64(uint64(base))
 }
 
-func (cw *crcWriter) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return cw.bytes(b[:])
-}
-
-func (cw *crcWriter) bytes(p []byte) error {
-	_, err := cw.Write(p)
-	return err
-}
-
-// chunk returns the encode buffer, allocated on first use.
-func (cw *crcWriter) chunk() []byte {
-	if cw.buf == nil {
-		cw.buf = make([]byte, crcChunk)
+// putSlice writes vals little-endian: on a little-endian host straight
+// from the slice's own memory, one CRC update and one write for the whole
+// slice.
+func putSlice[T float64 | uint32 | uint16](cw *crcWriter, vals []T) {
+	if hostLittleEndian {
+		cw.bytes(sliceBytes(vals))
+		return
 	}
-	return cw.buf
+	cw.bytes(appendLE(nil, vals))
 }
 
-func (cw *crcWriter) f64s(vals []float64) error {
-	buf := cw.chunk()
-	for len(vals) > 0 {
-		n := min(len(vals), len(buf)/8)
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		if err := cw.bytes(buf[:n*8]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-func (cw *crcWriter) u32s(vals []uint32) error {
-	buf := cw.chunk()
-	for len(vals) > 0 {
-		n := min(len(vals), len(buf)/4)
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], v)
-		}
-		if err := cw.bytes(buf[:n*4]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// writeBlockFile writes one sealed segment (idx non-nil, in the current
-// segment format) or tail block to name inside dir via tmp + fsync +
-// atomic rename, returning the final size and CRC (of the whole file,
-// footer included, for manifest validation). nums/cats are the block's
-// columns in schema order; for sealed segments they are the segData's own
-// slices.
-func writeBlockFile(dir, name string, base int, rows int, nums [][]float64, cats [][]uint32, idx *segData) (int64, uint32, error) {
+// writeFile writes a block file to name inside dir via tmp + fsync +
+// atomic rename: body writes everything before the CRC footer, which
+// writeFile appends. It returns the final size and the CRC of the whole
+// file, footer included, as the manifest records them.
+func writeFile(dir, name string, body func(cw *crcWriter)) (int64, uint32, error) {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return 0, 0, err
 	}
 	defer os.Remove(tmp.Name())
 	cw := &crcWriter{w: bufio.NewWriter(tmp)}
-	magic := tailMagic
-	if idx != nil {
-		magic = segMagic
-	}
-	if err := cw.bytes([]byte(magic)); err != nil {
-		return 0, 0, err
-	}
-	ncols := len(nums)
-	if err := cw.u32(uint32(ncols)); err != nil {
-		return 0, 0, err
-	}
-	if err := cw.u32(uint32(rows)); err != nil {
-		return 0, 0, err
-	}
-	if err := cw.u64(uint64(base)); err != nil {
-		return 0, 0, err
-	}
-	for j := 0; j < ncols; j++ {
-		switch {
-		case nums[j] != nil:
-			if err := cw.u8(tagNumeric); err != nil {
-				return 0, 0, err
-			}
-			if err := cw.f64s(nums[j][:rows]); err != nil {
-				return 0, 0, err
-			}
-			if idx != nil {
-				ni := &idx.nidx[j]
-				if err := cw.u32(uint32(len(ni.perm))); err != nil {
-					return 0, 0, err
-				}
-				if err := cw.u32s(ni.perm); err != nil {
-					return 0, 0, err
-				}
-				if err := cw.u32s(ni.nan); err != nil {
-					return 0, 0, err
-				}
-			}
-		case cats[j] != nil:
-			if err := cw.u8(tagCategorical); err != nil {
-				return 0, 0, err
-			}
-			if err := cw.u32s(cats[j][:rows]); err != nil {
-				return 0, 0, err
-			}
-			if idx != nil {
-				if err := cw.u32s(idx.cidx[j].perm); err != nil {
-					return 0, 0, err
-				}
-			}
-		default:
-			return 0, 0, fmt.Errorf("store: column %d has neither numeric nor categorical data", j)
-		}
-	}
-	bodyCRC := cw.crc
-	if err := cw.u32(bodyCRC); err != nil {
-		return 0, 0, err
-	}
-	fileCRC := cw.crc // CRC including the footer, what the manifest records
+	body(cw)
+	cw.u32(cw.crc)
+	fileCRC := cw.crc
 	if err := cw.w.Flush(); err != nil {
+		tmp.Close()
 		return 0, 0, err
 	}
 	if err := tmp.Sync(); err != nil {
+		tmp.Close()
 		return 0, 0, err
 	}
 	size, err := tmp.Seek(0, io.SeekEnd)
 	if err != nil {
+		tmp.Close()
 		return 0, 0, err
 	}
 	if err := tmp.Close(); err != nil {
@@ -215,6 +136,50 @@ func writeBlockFile(dir, name string, base int, rows int, nums [][]float64, cats
 	return size, fileCRC, nil
 }
 
+// writeTailFile writes the first rows rows of the open tail's columns as
+// a tail block.
+func writeTailFile(dir, name string, base, rows int, nums [][]float64, cats [][]uint32) (int64, uint32, error) {
+	for j := range nums {
+		if nums[j] == nil && cats[j] == nil {
+			return 0, 0, fmt.Errorf("store: column %d has neither numeric nor categorical data", j)
+		}
+	}
+	return writeFile(dir, name, func(cw *crcWriter) {
+		cw.header(tailMagic, len(nums), rows, base)
+		for j := range nums {
+			if nums[j] != nil {
+				cw.u8(tagNumeric)
+				putSlice(cw, nums[j][:rows])
+			} else {
+				cw.u8(tagCategorical)
+				putSlice(cw, cats[j][:rows])
+			}
+		}
+	})
+}
+
+// writeSegFile writes a sealed segment as a SEG v3 block.
+func writeSegFile(dir, name string, base int, attrs []dataset.Attribute, d *segData) (int64, uint32, error) {
+	return writeFile(dir, name, func(cw *crcWriter) {
+		cw.header(segMagic, len(attrs), d.n, base)
+		for j, a := range attrs {
+			if a.Kind == dataset.Numeric {
+				putCol(cw, tagNumeric, &d.nums[j])
+			} else {
+				putCol(cw, tagCategorical, &d.cats[j])
+			}
+		}
+	})
+}
+
+// putCol writes one SEG v3 column: its tag, dictionary and codes.
+func putCol[T float64 | uint32](cw *crcWriter, tag uint8, c *dictCol[T]) {
+	cw.u8(tag)
+	cw.u32(uint32(len(c.dict)))
+	putSlice(cw, c.dict)
+	putSlice(cw, c.codes)
+}
+
 // blockReader decodes a block file sequentially out of one buffer holding
 // the whole file, read with a single ReadAt: typed columns decode straight
 // from the buffer with no intermediate copies.
@@ -226,7 +191,7 @@ type blockReader struct {
 
 // take returns the next n bytes of the block body.
 func (br *blockReader) take(n int) ([]byte, error) {
-	if br.off+n > len(br.buf)-4 { // never read into the CRC footer
+	if n < 0 || br.off+n > len(br.buf)-4 { // never read into the CRC footer
 		return nil, fmt.Errorf("store: %s: truncated block (want %d bytes at %d, size %d)", br.name, n, br.off, len(br.buf))
 	}
 	p := br.buf[br.off : br.off+n]
@@ -258,195 +223,284 @@ func (br *blockReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-func (br *blockReader) f64s(n int) ([]float64, error) {
-	p, err := br.take(n * 8)
+// readSlice decodes n little-endian values into a new slice: on a
+// little-endian host with one copy into the slice's own memory.
+func readSlice[T float64 | uint32 | uint16](br *blockReader, n int) ([]T, error) {
+	p, err := br.take(n * int(unsafe.Sizeof(*new(T))))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := make([]T, n)
 	if hostLittleEndian {
 		copy(sliceBytes(out), p)
 	} else {
-		decodeF64s(out, p)
-	}
-	return out, nil
-}
-
-func (br *blockReader) u32s(n int) ([]uint32, error) {
-	p, err := br.take(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	if hostLittleEndian {
-		copy(sliceBytes(out), p)
-	} else {
-		decodeU32s(out, p)
+		decodeLE(out, p)
 	}
 	return out, nil
 }
 
 // hostLittleEndian reports whether the host stores words little-endian,
-// as the block format does: then a decoded slice's memory is exactly the
-// file's bytes, and f64s and u32s fill it with one copy.
+// as the block format does: then a slice's memory is exactly the file's
+// bytes, and putSlice and readSlice move it with one write or copy.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // sliceBytes views a typed slice's memory as bytes. The view starts at the
 // slice's own aligned first element, so copying file bytes into it never
 // forms a misaligned pointer.
-func sliceBytes[T float64 | uint32](s []T) []byte {
+func sliceBytes[T float64 | uint32 | uint16](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-// decodeF64s and decodeU32s decode little-endian values one at a time:
-// the big-endian fallback of f64s and u32s.
-func decodeF64s(out []float64, p []byte) {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+// decodeLE and appendLE convert little-endian values one at a time: the
+// big-endian fallbacks of readSlice and putSlice.
+func decodeLE[T float64 | uint32 | uint16](out []T, p []byte) {
+	switch o := any(out).(type) {
+	case []float64:
+		for i := range o {
+			o[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+		}
+	case []uint32:
+		for i := range o {
+			o[i] = binary.LittleEndian.Uint32(p[i*4:])
+		}
+	case []uint16:
+		for i := range o {
+			o[i] = binary.LittleEndian.Uint16(p[i*2:])
+		}
 	}
 }
 
-func decodeU32s(out []uint32, p []byte) {
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[i*4:])
+func appendLE[T float64 | uint32 | uint16](b []byte, vals []T) []byte {
+	switch vs := any(vals).(type) {
+	case []float64:
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	case []uint32:
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+	case []uint16:
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint16(b, v)
+		}
 	}
+	return b
 }
 
-// rowIDs decodes n row indexes of a block of rows rows, rejecting any that
-// is out of range: the zone maps and every span index the column and the
-// bitmap window through them.
-func (br *blockReader) rowIDs(n, rows int, what string, col int) ([]uint32, error) {
-	out, err := br.u32s(n)
-	if err != nil {
-		return nil, err
-	}
-	var top uint32
-	for _, r := range out {
-		top = max(top, r)
-	}
-	if len(out) > 0 && int(top) >= rows {
-		return nil, fmt.Errorf("store: %s: column %d %s entry %d out of range (rows %d)", br.name, col, what, top, rows)
-	}
-	return out, nil
-}
-
-// decodeBlock decodes a block file into columns and, when withIndexes (a
-// sealed segment, v2 or v1), the persisted permutations, from which it
-// derives the zone maps. It validates structure — magic, column count,
-// tags, index lengths, row indexes in range — so that any bytes decode to
-// an error or to a segment every kernel can evaluate without a panic. It
-// does not check the CRC: its callers do, over the same buffer, before
-// decoding (fileSource.Load for sealed segments, Open's validation for
-// the tail).
-func decodeBlock(br *blockReader, attrs []dataset.Attribute, withIndexes bool) (base int, d *segData, err error) {
+// header decodes a block header: the magic, which must be one of magics,
+// the column count, which must match the schema, and the row count, which
+// must fit a segment.
+func (br *blockReader) header(attrs []dataset.Attribute, magics ...string) (magic string, rows, base int, err error) {
 	head, err := br.take(8)
 	if err != nil {
-		return 0, nil, err
+		return "", 0, 0, err
 	}
-	v1 := false
-	switch magic := string(head); {
-	case !withIndexes:
-		if magic != tailMagic {
-			return 0, nil, fmt.Errorf("store: %s: bad magic %q (want %q)", br.name, head, tailMagic)
-		}
-	case magic == segMagicV1:
-		v1 = true
-	case magic != segMagic:
-		return 0, nil, fmt.Errorf("store: %s: bad magic %q (want %q or %q)", br.name, head, segMagic, segMagicV1)
+	magic = string(head)
+	known := false
+	for _, m := range magics {
+		known = known || magic == m
+	}
+	if !known {
+		return "", 0, 0, fmt.Errorf("store: %s: bad magic %q (want one of %q)", br.name, head, magics)
 	}
 	ncols, err := br.u32()
 	if err != nil {
-		return 0, nil, err
+		return "", 0, 0, err
 	}
 	if int(ncols) != len(attrs) {
-		return 0, nil, fmt.Errorf("store: %s: %d columns, schema has %d", br.name, ncols, len(attrs))
+		return "", 0, 0, fmt.Errorf("store: %s: %d columns, schema has %d", br.name, ncols, len(attrs))
 	}
 	rows32, err := br.u32()
 	if err != nil {
-		return 0, nil, err
+		return "", 0, 0, err
 	}
-	rows := int(rows32)
+	if rows32 > MaxSegmentSize {
+		return "", 0, 0, fmt.Errorf("store: %s: %d rows, at most %d fit a segment", br.name, rows32, MaxSegmentSize)
+	}
 	base64, err := br.u64()
+	if err != nil {
+		return "", 0, 0, err
+	}
+	return magic, int(rows32), int(base64), nil
+}
+
+// tag decodes column j's tag, which must match the schema's kind, and
+// reports whether the column is numeric.
+func (br *blockReader) tag(a dataset.Attribute, j int) (bool, error) {
+	tag, err := br.u8()
+	if err != nil {
+		return false, err
+	}
+	want := uint8(tagCategorical)
+	if a.Kind == dataset.Numeric {
+		want = tagNumeric
+	}
+	if tag != want {
+		return false, fmt.Errorf("store: %s: column %d tag %d, schema wants %d", br.name, j, tag, want)
+	}
+	return tag == tagNumeric, nil
+}
+
+// end checks that the body was read to its last byte.
+func (br *blockReader) end() error {
+	if br.off != len(br.buf)-4 {
+		return fmt.Errorf("store: %s: %d trailing bytes after block body", br.name, len(br.buf)-4-br.off)
+	}
+	return nil
+}
+
+// The block decoders validate structure — magic, column count, tags,
+// lengths, and for a segment the dictionary order and every code — so
+// that any bytes decode to an error or to a block every kernel can
+// evaluate without a panic. They do not check the CRC: their callers do,
+// over the same buffer, before decoding (fileSource.Load for sealed
+// segments, Open's validation for the tail).
+
+// decodeTail decodes a tail block into raw columns.
+func decodeTail(br *blockReader, attrs []dataset.Attribute) (base, rows int, nums [][]float64, cats [][]uint32, err error) {
+	if _, rows, base, err = br.header(attrs, tailMagic); err != nil {
+		return 0, 0, nil, nil, err
+	}
+	nums, cats = make([][]float64, len(attrs)), make([][]uint32, len(attrs))
+	for j, a := range attrs {
+		numeric, err := br.tag(a, j)
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+		if numeric {
+			nums[j], err = readSlice[float64](br, rows)
+		} else {
+			cats[j], err = readSlice[uint32](br, rows)
+		}
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+	}
+	return base, rows, nums, cats, br.end()
+}
+
+// decodeSegment decodes a sealed segment file of any format into its
+// dictionary-coded form.
+func decodeSegment(br *blockReader, attrs []dataset.Attribute) (base int, d *segData, err error) {
+	magic, rows, base, err := br.header(attrs, segMagic, segMagicV2, segMagicV1)
 	if err != nil {
 		return 0, nil, err
 	}
-	d = &segData{
-		n:    rows,
-		nums: make([][]float64, len(attrs)),
-		cats: make([][]uint32, len(attrs)),
-		nidx: make([]numIndex, len(attrs)),
-		cidx: make([]catIndex, len(attrs)),
+	if magic == segMagic {
+		d, err = br.segV3(attrs, rows)
+	} else {
+		d, err = br.segLegacy(attrs, rows, magic == segMagicV1)
 	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return base, d, br.end()
+}
+
+// segV3 decodes the columns of a SEG v3 segment and rebuilds their index.
+func (br *blockReader) segV3(attrs []dataset.Attribute, rows int) (*segData, error) {
+	d := &segData{n: rows, nums: make([]dictCol[float64], len(attrs)), cats: make([]dictCol[uint32], len(attrs))}
 	for j, a := range attrs {
-		tag, err := br.u8()
+		numeric, err := br.tag(a, j)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		wantTag := uint8(tagCategorical)
-		if a.Kind == dataset.Numeric {
-			wantTag = tagNumeric
+		ndict, err := br.u32()
+		if err != nil {
+			return nil, err
 		}
-		if tag != wantTag {
-			return 0, nil, fmt.Errorf("store: %s: column %d tag %d, schema wants %d", br.name, j, tag, wantTag)
+		if int64(ndict) > int64(rows) {
+			return nil, fmt.Errorf("store: %s: column %d has %d dictionary entries for %d rows", br.name, j, ndict, rows)
 		}
-		if tag == tagNumeric {
-			if d.nums[j], err = br.f64s(rows); err != nil {
-				return 0, nil, err
-			}
-			if !withIndexes {
-				continue
+		if numeric {
+			err = decodeCol(br, &d.nums[j], int(ndict), rows, j, entryLess)
+		} else {
+			err = decodeCol(br, &d.cats[j], int(ndict), rows, j, func(a, b uint32) bool { return a < b })
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// decodeCol decodes one SEG v3 column into c: a dictionary strictly
+// ascending by less — so it holds no duplicate bit pattern and no NaN
+// before a number — and row codes that each name an entry, every entry
+// named by some row.
+func decodeCol[T float64 | uint32](br *blockReader, c *dictCol[T], ndict, rows, j int, less func(a, b T) bool) error {
+	dict, err := readSlice[T](br, ndict)
+	if err != nil {
+		return err
+	}
+	c.nanFrom = ndict
+	for k, v := range dict {
+		if k > 0 && !less(dict[k-1], v) {
+			return fmt.Errorf("store: %s: column %d dictionary entry %d is not above entry %d", br.name, j, k, k-1)
+		}
+		if v != v && c.nanFrom == ndict {
+			c.nanFrom = k
+		}
+	}
+	codes, err := readSlice[uint16](br, rows)
+	if err != nil {
+		return err
+	}
+	for i, k := range codes {
+		if int(k) >= ndict {
+			return fmt.Errorf("store: %s: column %d row %d has code %d, dictionary has %d entries", br.name, j, i, k, ndict)
+		}
+	}
+	start, perm, ok := indexCodes(codes, ndict)
+	if !ok {
+		return fmt.Errorf("store: %s: column %d has a dictionary entry no row uses", br.name, j)
+	}
+	c.dict, c.codes, c.start, c.perm = dict, codes, start, perm
+	return nil
+}
+
+// segLegacy decodes the raw columns of a SEG v2 (or, with v1, SEG v1)
+// segment, skipping its persisted index blocks, and dictionary-codes them
+// as a seal does.
+func (br *blockReader) segLegacy(attrs []dataset.Attribute, rows int, v1 bool) (*segData, error) {
+	nums, cats := make([][]float64, len(attrs)), make([][]uint32, len(attrs))
+	for j, a := range attrs {
+		numeric, err := br.tag(a, j)
+		if err != nil {
+			return nil, err
+		}
+		skip := 4 * rows // the index: numeric perm and NaN rows, or categorical perm
+		if numeric {
+			if nums[j], err = readSlice[float64](br, rows); err != nil {
+				return nil, err
 			}
 			permLen, err := br.u32()
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
-			if int(permLen) > rows {
-				return 0, nil, fmt.Errorf("store: %s: column %d perm length %d > rows %d", br.name, j, permLen, rows)
-			}
-			ni := numIndex{}
-			if ni.perm, err = br.rowIDs(int(permLen), rows, "perm", j); err != nil {
-				return 0, nil, err
+			if int64(permLen) > int64(rows) {
+				return nil, fmt.Errorf("store: %s: column %d perm length %d > rows %d", br.name, j, permLen, rows)
 			}
 			if v1 {
-				if _, err := br.take(int(permLen) * 8); err != nil { // the sorted copy
-					return 0, nil, err
-				}
+				skip += 8 * int(permLen) // the sorted copy
 			}
-			if ni.nan, err = br.rowIDs(rows-int(permLen), rows, "nan", j); err != nil {
-				return 0, nil, err
-			}
-			if len(ni.nan) == 0 {
-				ni.nan = nil
-			}
-			ni.min, ni.max = zoneEnds(d.nums[j], ni.perm)
-			d.nidx[j] = ni
 		} else {
-			if d.cats[j], err = br.u32s(rows); err != nil {
-				return 0, nil, err
-			}
-			if !withIndexes {
-				continue
-			}
-			ci := catIndex{}
-			if ci.perm, err = br.rowIDs(rows, rows, "perm", j); err != nil {
-				return 0, nil, err
+			if cats[j], err = readSlice[uint32](br, rows); err != nil {
+				return nil, err
 			}
 			if v1 {
-				if _, err := br.take(rows * 4); err != nil { // the sorted copy
-					return 0, nil, err
-				}
+				skip += 4 * rows
 			}
-			ci.min, ci.max = zoneEnds(d.cats[j], ci.perm)
-			d.cidx[j] = ci
+		}
+		if _, err := br.take(skip); err != nil {
+			return nil, err
 		}
 	}
-	if br.off != len(br.buf)-4 {
-		return 0, nil, fmt.Errorf("store: %s: %d trailing bytes after block body", br.name, len(br.buf)-4-br.off)
-	}
-	return int(base64), d, nil
+	return buildSegData(nums, cats), nil
 }
 
 // fileCRC computes the CRC-32 (IEEE) of the first limit bytes of the

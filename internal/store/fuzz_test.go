@@ -20,8 +20,9 @@ var fuzzAttrs = []dataset.Attribute{
 	{Name: "y", Role: dataset.Confidential, Kind: dataset.Numeric},
 }
 
-// fuzzSegment seals one 128-row segment of fuzzAttrs (NaN, ±Inf and
-// duplicate values included) in a fresh directory and returns its v2 file.
+// fuzzSegment seals one 128-row segment of fuzzAttrs (NaN payloads, −0,
+// ±Inf and duplicate values included) in a fresh directory and returns
+// its SEG v3 file.
 func fuzzSegment(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -38,6 +39,10 @@ func fuzzSegment(f *testing.F) []byte {
 			x = math.Inf(-1)
 		case 2:
 			x = math.Inf(1)
+		case 3:
+			x = math.Float64frombits(0xfff8dead0000beef) // a negative NaN payload
+		case 4:
+			x = math.Copysign(0, -1)
 		}
 		if err := s.Append(x, []string{"a", "b", "c"}[i%3], float64(i)/4); err != nil {
 			f.Fatal(err)
@@ -53,63 +58,92 @@ func fuzzSegment(f *testing.F) []byte {
 	return buf
 }
 
+// reCRC rewrites a block's CRC footer to match its body, so a hostile
+// edit reaches the decoder's structural checks.
+func reCRC(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.ChecksumIEEE(buf[:len(buf)-4]))
+	return buf
+}
+
 // FuzzDecodeSegment drives the sealed-segment decoder with arbitrary
-// bytes: it must never panic, and any segment it accepts must have every
-// index in range, so evaluating a plan over it cannot panic either.
+// bytes: it must never panic, any segment it accepts must hold a valid
+// index — every code naming a dictionary entry, perm a permutation of
+// the rows ordered by code then row, start where each code's rows begin —
+// so evaluating a plan over it cannot panic either, and an accepted SEG
+// v3 file must re-encode to its own bytes. The seeds include v3, v2 and
+// v1 files, their truncations, and hostile v3 files that must fail with an
+// error: an unsorted dictionary, a duplicate bit pattern, a code past the
+// dictionary, a NaN entry before a number, and a column cut short.
 func FuzzDecodeSegment(f *testing.F) {
-	v2 := fuzzSegment(f)
-	_, d, err := decodeBlock(&blockReader{buf: v2, name: "seed"}, fuzzAttrs, true)
+	v3 := fuzzSegment(f)
+	_, d, err := decodeSegment(&blockReader{buf: v3, name: "seed"}, fuzzAttrs)
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1 := encodeSegV1(f, 0, d)
-	for _, seed := range [][]byte{v2, v1} {
+	for _, seed := range [][]byte{v3, encodeSegV2(f, 0, d), encodeSegV1(f, 0, d)} {
 		f.Add(seed)
 		for _, cut := range []int{len(seed) - 1, len(seed) - 5, len(seed) / 2, 40, 8} {
 			f.Add(seed[:cut])
 		}
 	}
 	f.Add([]byte{})
-	// Out-of-range row indexes in column x's perm and nan blocks, which
-	// follow the 24-byte header, the tag, the values and permLen.
-	permAt := 24 + 1 + 8*d.n + 4
-	nanAt := permAt + 4*len(d.nidx[0].perm)
-	for _, at := range []int{permAt, nanAt} {
-		bad := append([]byte(nil), v2...)
-		binary.LittleEndian.PutUint32(bad[at:], uint32(d.n))
-		f.Add(bad)
+	// Column x: 24-byte header, tag, ndict, dict, then 128 codes.
+	nx := len(d.nums[0].dict)
+	dictAt, codesAt := 24+1+4, 24+1+4+8*nx
+	le := binary.LittleEndian
+	hostile := []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"an unsorted dictionary", func(b []byte) {
+			x, y := le.Uint64(b[dictAt:]), le.Uint64(b[dictAt+8:])
+			le.PutUint64(b[dictAt:], y)
+			le.PutUint64(b[dictAt+8:], x)
+		}},
+		{"a duplicate bit pattern", func(b []byte) { copy(b[dictAt+8:dictAt+16], b[dictAt:dictAt+8]) }},
+		{"a code past the dictionary", func(b []byte) { le.PutUint16(b[codesAt+2*5:], uint16(nx)) }},
+		{"a NaN entry before a number", func(b []byte) { le.PutUint64(b[dictAt:], math.Float64bits(math.NaN())) }},
+		{"an entry no row uses", func(b []byte) {
+			for i := 0; i < d.n; i++ {
+				if le.Uint16(b[codesAt+2*i:]) == 1 {
+					le.PutUint16(b[codesAt+2*i:], 0)
+				}
+			}
+		}},
 	}
+	for _, h := range hostile {
+		bad := append([]byte(nil), v3...)
+		h.edit(bad)
+		if _, _, err := decodeSegment(&blockReader{buf: bad, name: "hostile"}, fuzzAttrs); err == nil {
+			f.Fatalf("a segment with %s decodes", h.name)
+		}
+		f.Add(reCRC(bad))
+	}
+	// A column cut short: the file ends inside column x's codes.
+	short := reCRC(append(append([]byte(nil), v3[:codesAt+2*64]...), 0, 0, 0, 0))
+	if _, _, err := decodeSegment(&blockReader{buf: short, name: "short"}, fuzzAttrs); err == nil {
+		f.Fatalf("a segment cut inside a column decodes")
+	}
+	f.Add(short)
 	plans := []*plan{
 		{ivs: []numInterval{{col: 0, lo: 3, loIncl: true, hi: 9, hiIncl: false}}},
 		{ivs: []numInterval{{col: 2, lo: math.Inf(-1), loIncl: true, hi: 10, hiIncl: true}},
 			rest: []compiledCond{{col: 1, op: Eq, code: 1, codeOK: true}, {numeric: true, col: 0, op: Ne, v: 5}}},
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		_, d, err := decodeBlock(&blockReader{buf: buf, name: "fuzz"}, fuzzAttrs, true)
+		base, d, err := decodeSegment(&blockReader{buf: buf, name: "fuzz"}, fuzzAttrs)
 		if err != nil {
 			return
 		}
-		inRange := func(what string, j int, rows []uint32) {
-			for _, r := range rows {
-				if int(r) >= d.n {
-					t.Fatalf("column %d %s entry %d out of range (rows %d)", j, what, r, d.n)
-				}
-			}
-		}
 		for j, a := range fuzzAttrs {
+			var diff string
 			if a.Kind == dataset.Numeric {
-				ni := &d.nidx[j]
-				inRange("perm", j, ni.perm)
-				inRange("nan", j, ni.nan)
-				if len(ni.perm)+len(ni.nan) != d.n {
-					t.Fatalf("column %d: perm %d + nan %d rows, segment %d rows", j, len(ni.perm), len(ni.nan), d.n)
-				}
-				continue
+				diff = checkIndex(&d.nums[j], d.n)
+			} else {
+				diff = checkIndex(&d.cats[j], d.n)
 			}
-			ci := &d.cidx[j]
-			inRange("perm", j, ci.perm)
-			if len(ci.perm) != d.n {
-				t.Fatalf("column %d: perm %d rows, segment %d rows", j, len(ci.perm), d.n)
+			if diff != "" {
+				t.Fatalf("column %d: %s", j, diff)
 			}
 		}
 		words, scratch := make([]uint64, (d.n+63)/64), make([]uint64, (d.n+63)/64)
@@ -117,7 +151,31 @@ func FuzzDecodeSegment(f *testing.F) {
 			zeroWords(words)
 			d.eval(p, words, scratch)
 		}
+		if string(buf[:8]) == segMagic {
+			if re := encodeBlockRef(base, 0, nil, nil, d); !bytes.Equal(re[:len(re)-4], buf[:len(buf)-4]) {
+				t.Fatalf("accepted SEG v3 file re-encodes to different bytes")
+			}
+		}
 	})
+}
+
+// checkIndex reports how a decoded column's index is invalid, or "".
+func checkIndex[T float64 | uint32](c *dictCol[T], n int) string {
+	if len(c.codes) != n || len(c.perm) != n || len(c.start) != len(c.dict) || c.nanFrom > len(c.dict) {
+		return fmt.Sprintf("%d codes, %d perm, %d start, %d dict entries, nanFrom %d, %d rows", len(c.codes), len(c.perm), len(c.start), len(c.dict), c.nanFrom, n)
+	}
+	for k := 0; k < len(c.dict); k++ {
+		rows := c.perm[c.pos(k):c.pos(k+1)]
+		if len(rows) == 0 {
+			return fmt.Sprintf("code %d has no row", k)
+		}
+		for i, r := range rows {
+			if int(r) >= n || int(c.codes[r]) != k || i > 0 && r <= rows[i-1] {
+				return fmt.Sprintf("code %d: perm entry %d (row %d) out of order", k, i, r)
+			}
+		}
+	}
+	return ""
 }
 
 // fuzzTails writes TAIL blocks of fuzzAttrs with the block writer: empty,
@@ -137,7 +195,7 @@ func fuzzTails(f *testing.F) [][]byte {
 	var out [][]byte
 	for _, rows := range []int{0, 1, 40} {
 		name := fmt.Sprintf("TAIL-%d", rows)
-		if _, _, err := writeBlockFile(dir, name, 3*128, rows, [][]float64{x, nil, y}, [][]uint32{nil, c, nil}, nil); err != nil {
+		if _, _, err := writeTailFile(dir, name, 3*128, rows, [][]float64{x, nil, y}, [][]uint32{nil, c, nil}); err != nil {
 			f.Fatal(err)
 		}
 		buf, err := os.ReadFile(filepath.Join(dir, name))
@@ -167,18 +225,18 @@ func FuzzDecodeTail(f *testing.F) {
 	}
 	f.Add(fuzzSegment(f)) // a segment is no tail
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		base, d, err := decodeBlock(&blockReader{buf: buf, name: "fuzz"}, fuzzAttrs, false)
+		base, rows, nums, cats, err := decodeTail(&blockReader{buf: buf, name: "fuzz"}, fuzzAttrs)
 		if err != nil {
 			return
 		}
 		for j, a := range fuzzAttrs {
 			numeric := a.Kind == dataset.Numeric
-			if numeric && (len(d.nums[j]) != d.n || d.cats[j] != nil) || !numeric && (len(d.cats[j]) != d.n || d.nums[j] != nil) {
-				t.Fatalf("column %d decoded to %d numeric and %d categorical values, tail has %d rows", j, len(d.nums[j]), len(d.cats[j]), d.n)
+			if numeric && (len(nums[j]) != rows || cats[j] != nil) || !numeric && (len(cats[j]) != rows || nums[j] != nil) {
+				t.Fatalf("column %d decoded to %d numeric and %d categorical values, tail has %d rows", j, len(nums[j]), len(cats[j]), rows)
 			}
 		}
 		body := buf[:len(buf)-4]
-		if re := encodeBlockRef(base, d.n, d.nums, d.cats, nil); !bytes.Equal(re[:len(re)-4], body) {
+		if re := encodeBlockRef(base, rows, nums, cats, nil); !bytes.Equal(re[:len(re)-4], body) {
 			t.Fatalf("accepted tail re-encodes to different bytes")
 		}
 	})
@@ -251,14 +309,21 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	addCorruptions(f, man)
 	f.Add([]byte{})
-	payload := []byte(`{"segments":[{"file":"x","zones":[]}]}`)
-	raw := binary.LittleEndian.AppendUint32([]byte(manifestMagic), uint32(len(payload)))
-	raw = binary.LittleEndian.AppendUint32(append(raw, payload...), crc32.ChecksumIEEE(payload))
-	f.Add(raw)
+	for _, payload := range []string{
+		`{"segments":[{"file":"x","zones":[]}]}`,
+		`{"seg_size":0,"shards":16,"segments":[]}`, // a size no store seals
+	} {
+		raw := binary.LittleEndian.AppendUint32([]byte(manifestMagic), uint32(len(payload)))
+		raw = binary.LittleEndian.AppendUint32(append(raw, payload...), crc32.ChecksumIEEE([]byte(payload)))
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := decodeManifest(raw)
 		if err != nil {
 			return
+		}
+		if err := checkSegmentSize(m.SegSize); err == nil && (m.SegSize%64 != 0 || m.SegSize < 64 || m.SegSize > MaxSegmentSize) {
+			t.Fatalf("segment size %d accepted", m.SegSize)
 		}
 		for i := range m.Segments {
 			_ = validateZones(&m.Segments[i], len(m.Attrs))

@@ -62,9 +62,10 @@ type manifestBlock struct {
 	Decoded int64       `json:"decoded,omitempty"`
 	Zones   [][2]uint64 `json:"zones,omitempty"`
 
-	// v1 is set by validation when the file is a SEG v1 segment, whose
-	// recorded Decoded counts the sorted copies v1 files carried.
-	v1 bool
+	// legacy is set by validation when the file is a SEG v1 or v2
+	// segment, whose recorded Decoded is the footprint of the raw columns
+	// and 32-bit indexes those formats decoded to.
+	legacy bool
 }
 
 // encodeZones converts a segment's zone maps to their manifest form.
@@ -211,14 +212,19 @@ func decodeManifest(raw []byte) (*manifest, error) {
 	return &m, nil
 }
 
-// validateManifest checks every file the manifest references. Sealed
-// segment files are checked for existence and exact size only, and their
-// magic is read to note SEG v1: their checksums are verified on every
-// read (fileSource.Load), where the bytes are in memory anyway, so Open
-// does not read the dataset. The tail file and the committed DICT prefix,
+// validateManifest checks the manifest's segment size (checkSegmentSize:
+// a size a store could never have sealed would otherwise open as the
+// default and fail every row-count check) and every file the manifest
+// references. Sealed segment files are checked for existence and exact
+// size only, and their magic is read to note SEG v1 and v2: their
+// checksums are verified on every read (fileSource.Load), where the bytes
+// are in memory anyway, so Open does not read the dataset. The tail file and the committed DICT prefix,
 // which Open reads in full, are checksummed here, so a torn tail or
 // dictionary fails the commit and recovery falls back to the previous one.
 func validateManifest(dir string, m *manifest) error {
+	if err := checkSegmentSize(m.SegSize); err != nil {
+		return err
+	}
 	for i := range m.Segments {
 		b := &m.Segments[i]
 		if err := validateZones(b, len(m.Attrs)); err != nil {
@@ -266,7 +272,7 @@ func validateZones(b *manifestBlock, cols int) error {
 }
 
 // validateSegmentFile checks that b's segment file has its recorded size
-// and notes from its magic whether it is a SEG v1 segment.
+// and notes from its magic whether it is a SEG v1 or v2 segment.
 func validateSegmentFile(dir string, b *manifestBlock) error {
 	path := filepath.Join(dir, b.File)
 	if err := checkSize(path, b.Size); err != nil {
@@ -277,11 +283,11 @@ func validateSegmentFile(dir string, b *manifestBlock) error {
 		return err
 	}
 	defer f.Close()
-	var head [len(segMagicV1)]byte
+	var head [len(segMagic)]byte
 	if _, err := io.ReadFull(f, head[:]); err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
-	b.v1 = string(head[:]) == segMagicV1
+	b.legacy = string(head[:]) == segMagicV1 || string(head[:]) == segMagicV2
 	return nil
 }
 

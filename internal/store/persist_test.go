@@ -400,3 +400,61 @@ func TestOpenEmptyDirFails(t *testing.T) {
 		t.Fatalf("Open of an empty directory succeeded")
 	}
 }
+
+// TestManifestSegmentSizeCheckedAtOpen pins that a checksummed manifest
+// whose segment size no store could have sealed fails validation: with a
+// valid previous commit, recovery falls back to it; with none, Open
+// fails naming the size, where it used to open the store with the
+// default size and fail its row-count checks later.
+func TestManifestSegmentSizeCheckedAtOpen(t *testing.T) {
+	for _, size := range []int{0, -64, 100, MaxSegmentSize + 64} {
+		dir := t.TempDir()
+		s := createPersistStore(t, dir, 3*persistSegSize, Options{})
+		if err := s.Append(170.0, 70.0, 50.0, 50.0, 120.0, "N"); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		rewriteNewestManifest(t, dir, func(m *manifest) { m.SegSize = size })
+		m, err := readManifest(newestManifest(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := validateManifest(dir, m); err == nil || !strings.Contains(err.Error(), "segment size") {
+			t.Fatalf("seg_size %d: validateManifest = %v, want a segment-size error", size, err)
+		}
+		r, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("seg_size %d: Open: %v", size, err)
+		}
+		if r.Rows() != 3*persistSegSize || r.SegmentSize() != persistSegSize {
+			t.Fatalf("seg_size %d: recovered %d rows of segment size %d, want the previous commit's %d of %d", size, r.Rows(), r.SegmentSize(), 3*persistSegSize, persistSegSize)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		seqs, err := listManifests(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			path := filepath.Join(dir, manifestFileName(seq))
+			m, err := readManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SegSize = size
+			if err := writeManifest(dir, seq, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "segment size") {
+			if r != nil {
+				r.Close()
+			}
+			t.Fatalf("seg_size %d in every manifest: Open = %v, want a segment-size error", size, err)
+		}
+	}
+}

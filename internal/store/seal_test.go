@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -11,48 +12,108 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"privacy3d/internal/dataset"
 )
 
-// refNumIndex is the reference numeric index: NaN rows to nan, the rest
-// comparison-sorted by value, equal values (−0 and +0 among them) in row
-// order.
-func refNumIndex(col []float64) numIndex {
-	var idx numIndex
-	idx.perm = []uint32{}
-	for i, v := range col {
-		if math.IsNaN(v) {
-			idx.nan = append(idx.nan, uint32(i))
-		} else {
-			idx.perm = append(idx.perm, uint32(i))
-		}
+// refLess is the reference order of numeric dictionary entries, written
+// with float comparisons rather than orderKey: numbers by value, −0
+// before +0, then NaNs by bit pattern.
+func refLess(a, b float64) bool {
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case an && bn:
+		return math.Float64bits(a) < math.Float64bits(b)
+	case an || bn:
+		return bn
+	case a != b:
+		return a < b
 	}
-	sort.Slice(idx.perm, func(a, b int) bool {
-		va, vb := col[idx.perm[a]], col[idx.perm[b]]
-		if va != vb {
-			return va < vb
-		}
-		return idx.perm[a] < idx.perm[b]
-	})
-	idx.min, idx.max = zoneEnds(col, idx.perm)
-	return idx
+	return math.Signbit(a) && !math.Signbit(b)
 }
 
-// refCatIndex is the reference categorical index: every row,
-// comparison-sorted by code, equal codes in row order.
-func refCatIndex(col []uint32) catIndex {
-	idx := catIndex{perm: make([]uint32, len(col))}
-	for i := range col {
-		idx.perm[i] = uint32(i)
+// refDictCol is the reference dictionary-coded column: rows
+// comparison-sorted by value in less order, then by row; one dictionary
+// entry per distinct bit pattern; perm the sorted rows and start where
+// each entry's rows begin.
+func refDictCol[T float64 | uint32](col []T, less func(a, b T) bool, nan func(T) bool) dictCol[T] {
+	order := make([]int, len(col))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(idx.perm, func(a, b int) bool {
-		ca, cb := col[idx.perm[a]], col[idx.perm[b]]
-		if ca != cb {
-			return ca < cb
+	sort.SliceStable(order, func(a, b int) bool { return less(col[order[a]], col[order[b]]) })
+	c := dictCol[T]{dict: []T{}, codes: make([]uint16, len(col)), start: []uint16{}, perm: make([]uint16, len(col))}
+	for k, r := range order {
+		if k == 0 || less(col[order[k-1]], col[r]) {
+			c.dict = append(c.dict, col[r])
+			c.start = append(c.start, uint16(k))
 		}
-		return idx.perm[a] < idx.perm[b]
-	})
-	idx.min, idx.max = zoneEnds(col, idx.perm)
-	return idx
+		c.codes[r] = uint16(len(c.dict) - 1)
+		c.perm[k] = uint16(r)
+	}
+	c.nanFrom = len(c.dict)
+	for k := len(c.dict) - 1; k >= 0 && nan(c.dict[k]); k-- {
+		c.nanFrom = k
+	}
+	return c
+}
+
+func refNumCol(col []float64) dictCol[float64] {
+	return refDictCol(col, refLess, math.IsNaN)
+}
+
+func refCatCol(col []uint32) dictCol[uint32] {
+	return refDictCol(col, func(a, b uint32) bool { return a < b }, func(uint32) bool { return false })
+}
+
+// refZone is the reference zone map of a numeric column, as zone maps
+// have always been defined: over the non-NaN rows sorted by value (−0
+// equal to +0) and then by row, the values of the first and the last.
+func refZone(col []float64) zone {
+	var rows []int
+	for i, v := range col {
+		if !math.IsNaN(v) {
+			rows = append(rows, i)
+		}
+	}
+	if len(rows) == 0 {
+		return emptyZone
+	}
+	sort.SliceStable(rows, func(a, b int) bool { return col[rows[a]] < col[rows[b]] })
+	return zone{col[rows[0]], col[rows[len(rows)-1]]}
+}
+
+// sameCol reports where two columns differ, bit for bit, or "".
+func sameCol[T float64 | uint32](got, want *dictCol[T]) string {
+	switch {
+	case !bytes.Equal(sliceBytes(got.dict), sliceBytes(want.dict)) || len(got.dict) != len(want.dict):
+		return "dict"
+	case !slices.Equal(got.codes, want.codes):
+		return "codes"
+	case !slices.Equal(got.start, want.start):
+		return "start"
+	case !slices.Equal(got.perm, want.perm):
+		return "perm"
+	case got.nanFrom != want.nanFrom:
+		return fmt.Sprintf("nanFrom %d, want %d", got.nanFrom, want.nanFrom)
+	}
+	return ""
+}
+
+// sameSegData reports where two segments differ, bit for bit, or "".
+func sameSegData(got, want *segData) string {
+	if got.n != want.n || len(got.nums) != len(want.nums) || len(got.cats) != len(want.cats) {
+		return fmt.Sprintf("%d rows %d/%d columns, want %d rows %d/%d", got.n, len(got.nums), len(got.cats), want.n, len(want.nums), len(want.cats))
+	}
+	for j := range got.nums {
+		if d := sameCol(&got.nums[j], &want.nums[j]); d != "" {
+			return fmt.Sprintf("numeric column %d: %s", j, d)
+		}
+		if d := sameCol(&got.cats[j], &want.cats[j]); d != "" {
+			return fmt.Sprintf("categorical column %d: %s", j, d)
+		}
+	}
+	return ""
 }
 
 // indexColumns returns numeric and categorical columns of length n that
@@ -82,6 +143,10 @@ func indexColumns(n int, rng *rand.Rand) (names []string, nums [][]float64, cats
 			return float64(i%13) - 6
 		}},
 		{"allNaN", func(int) float64 { return nan }},
+		{"nanPayloads", func(i int) float64 {
+			return []float64{math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8dead0000beef), nan,
+				3, negZero, math.Float64frombits(0x7ff0000000000001), 0}[i%7]
+		}},
 		{"ties", func(int) float64 { return math.Round(rng.NormFloat64()*50) / 10 }},
 		{"wide", func(int) float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)) }},
 	}
@@ -118,124 +183,162 @@ func indexColumns(n int, rng *rand.Rand) (names []string, nums [][]float64, cats
 	return names, nums, cats
 }
 
-// TestIndexBuildMatchesComparisonSort pins the radix-built indexes to the
-// comparison sort they replace: the same perm and nan, entry for entry,
-// and the same zone ends, bit for bit. All columns of one length go
-// through one buildSegData, so the sorter's scratch is reused across
-// columns of different key counts.
+// TestIndexBuildMatchesComparisonSort pins the radix-built dictionaries
+// and the counting-pass index to a comparison-sort reference: the same
+// dict bit for bit (−0, +0 and NaN payloads distinct), codes, start, perm
+// and NaN boundary, and zone ends bit for bit equal to the zone maps'
+// row-order definition. All columns of one length go through one
+// buildSegData, so the sorter's scratch is reused across columns of
+// different key counts.
 func TestIndexBuildMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	for _, n := range []int{0, 1, 63, 64, DefaultSegmentSize} {
+	for _, n := range []int{0, 1, 63, 64, DefaultSegmentSize, MaxSegmentSize} {
 		names, nums, cats := indexColumns(n, rng)
 		d := buildSegData(nums, cats)
 		for j, name := range names {
 			if nums[j] != nil {
-				got, want := d.nidx[j], refNumIndex(nums[j])
-				if !slices.Equal(got.perm, want.perm) || !slices.Equal(got.nan, want.nan) {
-					t.Errorf("n=%d %s: perm/nan differ from the comparison sort", n, name)
+				want := refNumCol(nums[j])
+				if diff := sameCol(&d.nums[j], &want); diff != "" {
+					t.Errorf("n=%d %s: %s differs from the comparison sort", n, name, diff)
 				}
-				if math.Float64bits(got.min) != math.Float64bits(want.min) || math.Float64bits(got.max) != math.Float64bits(want.max) {
+				if got, want := numZone(&d.nums[j]), refZone(nums[j]); !got.identical(want) {
 					t.Errorf("n=%d %s: zone [%g, %g], want [%g, %g]", n, name, got.min, got.max, want.min, want.max)
 				}
 				continue
 			}
-			got, want := d.cidx[j], refCatIndex(cats[j])
-			if !slices.Equal(got.perm, want.perm) || got.min != want.min || got.max != want.max {
-				t.Errorf("n=%d %s: categorical index differs from the comparison sort", n, name)
+			want := refCatCol(cats[j])
+			if diff := sameCol(&d.cats[j], &want); diff != "" {
+				t.Errorf("n=%d %s: categorical %s differs from the comparison sort", n, name, diff)
 			}
 		}
 	}
 }
 
-// encodeBlockRef is the reference block encoder: the format of disk.go
+// encodeBlockRef is the reference block encoder: the formats of disk.go
 // written one value at a time into memory, with the CRC taken over the
-// finished body.
-func encodeBlockRef(base, rows int, nums [][]float64, cats [][]uint32, idx *segData) []byte {
+// finished body. With seg nil it writes the first rows rows of nums/cats
+// as a tail block; otherwise it writes seg as a SEG v3 segment.
+func encodeBlockRef(base, rows int, nums [][]float64, cats [][]uint32, seg *segData) []byte {
 	le := binary.LittleEndian
 	magic := tailMagic
-	if idx != nil {
-		magic = segMagic
+	ncols := len(nums)
+	if seg != nil {
+		magic, rows, ncols = segMagic, seg.n, len(seg.nums)
 	}
 	b := []byte(magic)
-	b = le.AppendUint32(b, uint32(len(nums)))
+	b = le.AppendUint32(b, uint32(ncols))
 	b = le.AppendUint32(b, uint32(rows))
 	b = le.AppendUint64(b, uint64(base))
+	f64s := func(vs []float64) {
+		for _, v := range vs {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+	}
 	u32s := func(vs []uint32) {
 		for _, v := range vs {
 			b = le.AppendUint32(b, v)
 		}
 	}
-	for j := range nums {
-		if nums[j] != nil {
+	for j := 0; j < ncols; j++ {
+		switch {
+		case seg != nil && seg.nums[j].codes != nil:
+			c := &seg.nums[j]
 			b = append(b, tagNumeric)
-			for _, v := range nums[j][:rows] {
-				b = le.AppendUint64(b, math.Float64bits(v))
+			b = le.AppendUint32(b, uint32(len(c.dict)))
+			f64s(c.dict)
+			for _, k := range c.codes {
+				b = le.AppendUint16(b, k)
 			}
-			if idx != nil {
-				ni := &idx.nidx[j]
-				b = le.AppendUint32(b, uint32(len(ni.perm)))
-				u32s(ni.perm)
-				u32s(ni.nan)
+		case seg != nil:
+			c := &seg.cats[j]
+			b = append(b, tagCategorical)
+			b = le.AppendUint32(b, uint32(len(c.dict)))
+			u32s(c.dict)
+			for _, k := range c.codes {
+				b = le.AppendUint16(b, k)
 			}
-			continue
-		}
-		b = append(b, tagCategorical)
-		u32s(cats[j][:rows])
-		if idx != nil {
-			u32s(idx.cidx[j].perm)
+		case nums[j] != nil:
+			b = append(b, tagNumeric)
+			f64s(nums[j][:rows])
+		default:
+			b = append(b, tagCategorical)
+			u32s(cats[j][:rows])
 		}
 	}
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// TestBlockFilesMatchPerValueEncoder pins the bytes writeBlockFile puts
-// on disk, and the CRC it reports, to the per-value reference encoder:
-// for a SEG v2 segment whose columns span several write chunks, a full
+// schemaOf is a schema whose kinds follow the non-nil columns.
+func schemaOf(nums [][]float64) []dataset.Attribute {
+	attrs := make([]dataset.Attribute, len(nums))
+	for j := range nums {
+		attrs[j] = dataset.Attribute{Name: fmt.Sprintf("c%d", j), Role: dataset.QuasiIdentifier, Kind: dataset.Nominal}
+		if nums[j] != nil {
+			attrs[j].Kind = dataset.Numeric
+		}
+	}
+	return attrs
+}
+
+// TestBlockFilesMatchPerValueEncoder pins the bytes writeSegFile and
+// writeTailFile put on disk, and the CRC they report, to the per-value
+// reference encoder: for a SEG v3 segment of MaxSegmentSize rows, a full
 // default segment, and TAIL blocks of 1 and of 100 rows cut out of longer
-// buffers, as the open tail's are.
+// buffers, as the open tail's are — through the bulk write and through
+// the per-value fallback of a big-endian host.
 func TestBlockFilesMatchPerValueEncoder(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct {
-		name       string
-		n, rows    int
-		seg        bool
-		base       int
-		wantChunks bool
+		name    string
+		n, rows int
+		seg     bool
+		base    int
 	}{
-		{name: "segLong", n: 3*DefaultSegmentSize + 100, seg: true, base: 1 << 33, wantChunks: true},
+		{name: "segMax", n: MaxSegmentSize, seg: true, base: 1 << 33},
 		{name: "segDefault", n: DefaultSegmentSize, seg: true, base: 5 * DefaultSegmentSize},
 		{name: "tail1", n: DefaultSegmentSize, rows: 1, base: 64},
 		{name: "tail100", n: DefaultSegmentSize, rows: 100, base: 3 * DefaultSegmentSize},
 	} {
 		_, nums, cats := indexColumns(c.n, rng)
-		rows := c.rows
-		var idx *segData
+		var seg *segData
 		if c.seg {
-			idx = buildSegData(nums, cats)
-			rows = c.n
+			seg = buildSegData(nums, cats)
 		}
-		if c.wantChunks && 8*rows <= crcChunk {
-			t.Fatalf("%s: %d rows fit one write chunk", c.name, rows)
-		}
-		size, crc, err := writeBlockFile(dir, c.name, c.base, rows, nums, cats, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, c.name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := encodeBlockRef(c.base, rows, nums, cats, idx)
-		if !bytes.Equal(got, want) {
-			at := 0
-			for at < min(len(got), len(want)) && got[at] == want[at] {
-				at++
+		want := encodeBlockRef(c.base, c.rows, nums, cats, seg)
+		for _, bulk := range []bool{true, false} {
+			var size int64
+			var crc uint32
+			var err error
+			write := func() {
+				if c.seg {
+					size, crc, err = writeSegFile(dir, c.name, c.base, schemaOf(nums), seg)
+				} else {
+					size, crc, err = writeTailFile(dir, c.name, c.base, c.rows, nums, cats)
+				}
 			}
-			t.Errorf("%s: %d bytes differ from the %d-byte reference from byte %d", c.name, len(got), len(want), at)
-		}
-		if size != int64(len(want)) || crc != crc32.ChecksumIEEE(want) {
-			t.Errorf("%s: reported size %d crc %08x, want %d %08x", c.name, size, crc, len(want), crc32.ChecksumIEEE(want))
+			if bulk {
+				write()
+			} else {
+				withPerValueCodec(write)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, c.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				at := 0
+				for at < min(len(got), len(want)) && got[at] == want[at] {
+					at++
+				}
+				t.Errorf("%s (bulk %v): %d bytes differ from the %d-byte reference from byte %d", c.name, bulk, len(got), len(want), at)
+			}
+			if size != int64(len(want)) || crc != crc32.ChecksumIEEE(want) {
+				t.Errorf("%s (bulk %v): reported size %d crc %08x, want %d %08x", c.name, bulk, size, crc, len(want), crc32.ChecksumIEEE(want))
+			}
 		}
 	}
 }

@@ -65,25 +65,13 @@ func searchColumns(n int, rng *rand.Rand) []searchColumn {
 
 // boundValues lists the search keys for a column: ±0, ±Inf, huge finite
 // values, and distinct values with a midpoint to the next one — all of
-// them on short columns, and on long ones a sample plus the values at and
-// next to every 31st multiple of 64 sorted positions.
-func boundValues(col []float64, perm []uint32) []float64 {
-	var vals []float64
-	for _, r := range perm {
-		vals = append(vals, col[r])
-	}
-	vals = slices.Compact(vals) // perm orders them, so duplicates are adjacent
+// them on short dictionaries, a sample of about 60 on long ones.
+func boundValues(c *dictCol[float64]) []float64 {
+	vals := slices.Clone(c.dict[:c.nanFrom])
+	vals = slices.CompactFunc(vals, func(a, b float64) bool { return a == b }) // −0 and +0 are one value
 	keep := func(i int) bool { return true }
 	if len(vals) > 200 {
-		near := map[float64]bool{}
-		for k := 63; k < len(perm); k += 31 * 64 {
-			for _, p := range []int{k - 1, k, k + 1} {
-				if p < len(perm) {
-					near[col[perm[p]]] = true
-				}
-			}
-		}
-		keep = func(i int) bool { return i%(len(vals)/10) == 0 || near[vals[i]] }
+		keep = func(i int) bool { return i%(len(vals)/30) == 0 || i%(len(vals)/30) == 1 }
 	}
 	keys := []float64{math.Inf(-1), math.Copysign(0, -1), 0, math.Inf(1), -1e300, 1e300}
 	for i, v := range vals {
@@ -121,9 +109,9 @@ func checkSpan(t *testing.T, what string, sp span, n int, match func(r int) bool
 	if sp.k == n || sp.k == 0 {
 		return // eval fills or skips the window without reading the span
 	}
-	rows := [][]uint32{sp.perm[sp.lo:sp.hi]}
+	rows := [][]uint16{sp.perm[sp.lo:sp.hi]}
 	if sp.out {
-		rows = [][]uint32{sp.perm[:sp.lo], sp.perm[sp.hi:], sp.nan}
+		rows = [][]uint16{sp.perm[:sp.lo], sp.perm[sp.hi:]}
 	}
 	got := make([]bool, n)
 	for _, rs := range rows {
@@ -138,11 +126,12 @@ func checkSpan(t *testing.T, what string, sp span, n int, match func(r int) bool
 	}
 }
 
-// TestPermSearchMatchesLinear checks the search through the permutation
-// and every span built on it against a linear sweep: search positions for every key and
-// both strictnesses, intervals in every inclusive/exclusive form (one- and
-// two-sided, with ±Inf ends), numeric !=, and categorical = and != on
-// present and absent codes.
+// TestPermSearchMatchesLinear checks the dictionary search and every
+// span resolved through it into the permutation against a linear sweep:
+// search positions for every key and both strictnesses, intervals in
+// every inclusive/exclusive form (one- and two-sided, with ±Inf ends),
+// numeric != (NaN included), and categorical = and != on present and
+// absent codes.
 func TestPermSearchMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	inf := math.Inf(1)
@@ -154,23 +143,24 @@ func TestPermSearchMatchesLinear(t *testing.T) {
 				codes[i] = 2 * uint32(rng.Intn(5)) // odd codes are absent
 			}
 			d := buildSegData([][]float64{col, nil}, [][]uint32{nil, codes})
-			idx := &d.nidx[0]
-			keys := boundValues(col, idx.perm)
+			c := &d.nums[0]
+			vals := c.dict[:c.nanFrom]
+			keys := boundValues(c)
 			for _, v := range keys {
 				for _, strict := range []bool{false, true} {
 					want := 0
-					for _, r := range idx.perm {
-						if x := col[r]; x < v || strict && x == v {
+					for _, x := range vals {
+						if x < v || strict && x == v {
 							want++
 						}
 					}
-					if got := searchPerm(col, idx.perm, 0, len(idx.perm), v, strict); got != want {
+					if got := searchDict(vals, v, strict); got != want {
 						t.Fatalf("n=%d %s: search(%v, strict=%v) = %d, linear %d", n, name, v, strict, got, want)
 					}
 				}
 			}
 			checkIv := func(iv numInterval) {
-				checkSpan(t, name, d.intervalSpan(&iv), n, func(r int) bool { return passes(col[r], iv) })
+				checkSpan(t, name, c.span(iv.lo, !iv.loIncl, iv.hi, !iv.hiIncl), n, func(r int) bool { return passes(col[r], iv) })
 			}
 			for i, v := range keys {
 				for _, incl := range []bool{false, true} {
@@ -187,6 +177,8 @@ func TestPermSearchMatchesLinear(t *testing.T) {
 						checkIv(iv)
 					}
 				}
+			}
+			for _, v := range append(keys, math.NaN()) {
 				ne := compiledCond{numeric: true, col: 0, op: Ne, v: v}
 				checkSpan(t, name+" !=", d.equalSpan(ne), n, func(r int) bool { return col[r] != v })
 			}
@@ -230,9 +222,10 @@ func heldBytes(v reflect.Value) int64 {
 
 // TestFootprintCountsHeldSlices pins footprint to the bytes the segment
 // holds, on the NaN-bearing side-choice fixture and on a trial segment,
-// which must take at most 69 bytes per row: 5 numeric columns of 8-byte
-// values and 4-byte permutation or NaN entries, plus one categorical
-// column of 4-byte codes and permutation entries (68 bytes).
+// which must take at most 29 bytes per row: 6 columns of a 2-byte code
+// and a 2-byte permutation entry per row (24 bytes), plus dictionaries of
+// a few hundred 8-byte values per numeric column at the trial data's 0.1
+// precision (about 4 bytes per row of an 8192-row segment).
 func TestFootprintCountsHeldSlices(t *testing.T) {
 	_, side := sideStore(t)
 	for i, sg := range side.segs {
@@ -260,7 +253,7 @@ func TestFootprintCountsHeldSlices(t *testing.T) {
 	if got, want := d.footprint(), heldBytes(reflect.ValueOf(d)); got != want {
 		t.Errorf("trial segment: footprint %d, holds %d bytes", got, want)
 	}
-	if perRow := float64(d.footprint()) / float64(d.n); perRow > 69 {
-		t.Errorf("trial segment takes %.2f B/row, want <= 69", perRow)
+	if perRow := float64(d.footprint()) / float64(d.n); perRow > 29 {
+		t.Errorf("trial segment takes %.2f B/row, want <= 29", perRow)
 	}
 }

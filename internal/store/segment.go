@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // A segment is an immutable, fully indexed block of exactly segSize rows.
 // The segment value itself is only the handle — global position, row count,
-// zone maps and tier state; the decoded columns and indexes live in a
-// segData that the handle either holds resident (the in-memory tier) or
+// zone maps and tier state; the decoded dictionary-coded columns and their
+// indexes live in a segData that the handle either holds resident (the in-memory tier) or
 // decodes on demand from its SegmentSource (the spilled tier, backed by
 // the on-disk segment file). Every reader of columns goes through acquire,
 // so the evaluation kernels are tier-blind. Once built, a segment's data
@@ -55,14 +56,12 @@ func (z zone) identical(o zone) bool {
 	return math.Float64bits(z.min) == math.Float64bits(o.min) && math.Float64bits(z.max) == math.Float64bits(o.max)
 }
 
-// zonesOf reads every column's zone map off a decoded segment's indexes.
+// zonesOf reads every column's zone map off a decoded segment's
+// dictionaries (numZone); categorical columns get the empty zone.
 func zonesOf(d *segData) []zone {
-	zs := make([]zone, len(d.nidx))
-	for j, idx := range d.nidx {
-		zs[j] = emptyZone
-		if len(idx.perm) > 0 {
-			zs[j] = zone{idx.min, idx.max}
-		}
+	zs := make([]zone, len(d.nums))
+	for j := range d.nums {
+		zs[j] = numZone(&d.nums[j])
 	}
 	return zs
 }
@@ -169,149 +168,131 @@ func (sg *segment) evict() bool {
 // resident reports whether the decoded form is currently in memory.
 func (sg *segment) resident() bool { return sg.data.Load() != nil }
 
-// segData is the decoded, evaluable form of one sealed segment: contiguous
-// columns (numeric as []float64, categorical as dictionary codes) plus the
-// per-column indexes. It is immutable after buildSegData and shared freely
-// across goroutines and snapshots.
+// segData is the decoded, evaluable form of one sealed segment: every
+// column dictionary-coded (dictCol), numeric ones over float64 values and
+// categorical ones over the store-wide dictionary's codes. It is immutable
+// once built (buildSegData at seal, decodeSegment from a file) and shared
+// freely across goroutines and snapshots.
 type segData struct {
 	n    int
-	nums [][]float64
-	cats [][]uint32
-	nidx []numIndex
-	cidx []catIndex
+	nums []dictCol[float64] // per schema column; the zero value at categorical columns
+	cats []dictCol[uint32]  // per schema column; the zero value at numeric columns
 }
 
-// numIndex is the per-segment index of one numeric column.
-type numIndex struct {
-	// min/max are the zone map over the non-NaN values; meaningless when
-	// every value is NaN (perm empty).
-	min, max float64
-	// perm holds the segment-local rows sorted ascending by value, NaN rows
-	// excluded. The sorted values themselves are not copied: position k's
-	// value is col[perm[k]].
-	perm []uint32
-	// nan lists the rows whose value is NaN. They fail every comparison
-	// except !=, exactly as the row-at-a-time scan path treats them.
-	nan []uint32
+// MaxSegmentSize is the most rows a sealed segment may hold: a row offset,
+// a permutation entry and a dictionary code each fit in a uint16.
+const MaxSegmentSize = 1 << 16
+
+// checkSegmentSize accepts the segment sizes a store can seal: multiples
+// of 64 (each segment owns whole words of the snapshot bitmap) in
+// [64, MaxSegmentSize].
+func checkSegmentSize(n int) error {
+	if n < 64 || n > MaxSegmentSize || n%64 != 0 {
+		return fmt.Errorf("store: segment size must be a multiple of 64 in [64, %d], got %d", MaxSegmentSize, n)
+	}
+	return nil
 }
 
-// catIndex is the per-segment index of one categorical column: the
-// code-sorted permutation. The equal range of a code inside it IS that
-// code's posting list (perm[lo:hi] are the rows holding it).
-type catIndex struct {
-	min, max uint32
-	perm     []uint32
+// dictCol is one dictionary-coded column of a sealed segment. The value
+// of row i is dict[codes[i]]; start and perm are the index over codes,
+// derived from them alone by indexCodes.
+type dictCol[T float64 | uint32] struct {
+	// dict holds the segment's distinct values, ascending in entryLess
+	// order: numbers by value with −0 just before +0, then any NaN
+	// payloads by bit pattern; categorical codes by code.
+	dict []T
+	// codes holds each row's index into dict.
+	codes []uint16
+	// start[c] is the first perm position of code c: code c's rows are
+	// perm[pos(c):pos(c+1)].
+	start []uint16
+	// perm holds the rows ordered by code, then by row.
+	perm []uint16
+	// nanFrom is the index of dict's first NaN entry, len(dict) when there
+	// is none. The NaN rows are perm[pos(nanFrom):]; they fail every
+	// comparison except !=, exactly as the row-at-a-time scan treats them.
+	nanFrom int
 }
 
-// buildSegData indexes one sealed block. nums/cats are the frozen column
-// buffers, owned by the segData from here on. The build is deterministic in
-// the column values alone, which is what makes a reload from disk
-// indistinguishable from the original resident form.
+// at returns row i's value.
+func (c *dictCol[T]) at(i int) T { return c.dict[c.codes[i]] }
+
+// pos returns the first perm position of code k, or the row count when k
+// is past the last code.
+func (c *dictCol[T]) pos(k int) int {
+	if k < len(c.start) {
+		return int(c.start[k])
+	}
+	return len(c.perm)
+}
+
+// bytes is the byte size of every slice the column holds.
+func (c *dictCol[T]) bytes() int64 {
+	return int64(len(c.dict))*int64(unsafe.Sizeof(*new(T))) + 2*int64(len(c.codes)+len(c.start)+len(c.perm))
+}
+
+// numZone reads a numeric column's zone map off its dictionary: the
+// values at both ends of its non-NaN entries, or the empty zone. Where −0
+// and +0 share an end, the end is the one a scan in row order meets
+// first (min) or last (max), so the zone is bit-for-bit what the zone
+// maps have always recorded.
+func numZone(c *dictCol[float64]) zone {
+	m := c.nanFrom
+	if m == 0 {
+		return emptyZone
+	}
+	z := zone{c.dict[0], c.dict[m-1]}
+	signedZeros := func(k int) bool {
+		return math.Float64bits(c.dict[k]) == 1<<63 && math.Float64bits(c.dict[k+1]) == 0
+	}
+	if m > 1 && signedZeros(0) && c.perm[c.pos(1)] < c.perm[0] {
+		z.min = c.dict[1] // the first zero row holds +0
+	}
+	if m > 1 && signedZeros(m-2) && c.perm[c.pos(m-1)-1] > c.perm[c.pos(m)-1] {
+		z.max = c.dict[m-2] // the last zero row holds −0
+	}
+	return z
+}
+
+// buildSegData dictionary-codes one sealed block. nums/cats are the frozen
+// column buffers; the segData copies what it keeps out of them. The build
+// is deterministic in the column values alone, and a decode rebuilds the
+// index with the same indexCodes pass, which is what makes a reload from
+// disk indistinguishable from the original resident form.
 func buildSegData(nums [][]float64, cats [][]uint32) *segData {
-	d := &segData{nums: nums, cats: cats}
-	for _, col := range nums {
-		if col != nil {
-			d.n = len(col)
-			break
-		}
-	}
-	for _, col := range cats {
-		if col != nil {
-			d.n = len(col)
-			break
-		}
-	}
-	d.nidx = make([]numIndex, len(nums))
-	d.cidx = make([]catIndex, len(cats))
+	d := &segData{nums: make([]dictCol[float64], len(nums)), cats: make([]dictCol[uint32], len(cats))}
 	var rs radixSorter
 	for j, col := range nums {
 		if col != nil {
-			d.nidx[j] = rs.numIndex(col)
+			d.n = len(col)
+			d.nums[j] = rs.numCol(col)
 		}
 	}
 	for j, col := range cats {
 		if col != nil {
-			d.cidx[j] = rs.catIndex(col)
+			d.n = len(col)
+			d.cats[j] = rs.catCol(col)
 		}
 	}
 	return d
 }
 
-// footprint is the byte size of every slice the segData holds (columns
-// plus indexes), for the resident-tier memory accounting.
+// footprint is the byte size of every slice the segData holds, for the
+// resident-tier memory accounting.
 func (d *segData) footprint() int64 {
 	var b int64
-	for _, col := range d.nums {
-		b += int64(len(col)) * 8
+	for j := range d.nums {
+		b += d.nums[j].bytes()
 	}
-	for _, col := range d.cats {
-		b += int64(len(col)) * 4
-	}
-	for _, idx := range d.nidx {
-		b += int64(len(idx.perm))*4 + int64(len(idx.nan))*4
-	}
-	for _, idx := range d.cidx {
-		b += int64(len(idx.perm)) * 4
+	for j := range d.cats {
+		b += d.cats[j].bytes()
 	}
 	return b
 }
 
-// radixSorter builds the segment indexes with a stable LSD radix sort over
-// uint64 keys, one byte per pass. Rows enter in ascending order and every
-// pass is stable, so equal keys keep row order: perm is exactly the order
-// "by value, then by row" that the search and the posting ranges rely on,
-// in linear time. Its scratch is reused across the columns of a segment.
-type radixSorter struct {
-	keys, keys2 []uint64
-	perm2       []uint32
-}
-
-// numIndex indexes a numeric column: NaN rows go to nan, every other row
-// to perm, sorted by floatKey.
-func (rs *radixSorter) numIndex(col []float64) numIndex {
-	nans := 0
-	for _, v := range col {
-		if math.IsNaN(v) {
-			nans++
-		}
-	}
-	idx := numIndex{perm: make([]uint32, 0, len(col)-nans)}
-	if nans > 0 {
-		idx.nan = make([]uint32, 0, nans)
-	}
-	keys := rs.keyBuf(len(col) - nans)[:0]
-	for i, v := range col {
-		if math.IsNaN(v) {
-			idx.nan = append(idx.nan, uint32(i))
-		} else {
-			idx.perm = append(idx.perm, uint32(i))
-			keys = append(keys, floatKey(v))
-		}
-	}
-	rs.sort(keys, idx.perm)
-	idx.min, idx.max = zoneEnds(col, idx.perm)
-	return idx
-}
-
-// catIndex indexes a categorical column: every row, sorted by code.
-func (rs *radixSorter) catIndex(col []uint32) catIndex {
-	idx := catIndex{perm: make([]uint32, len(col))}
-	keys := rs.keyBuf(len(col))
-	for i, c := range col {
-		idx.perm[i] = uint32(i)
-		keys[i] = uint64(c)
-	}
-	rs.sort(keys, idx.perm)
-	idx.min, idx.max = zoneEnds(col, idx.perm)
-	return idx
-}
-
-// floatKey maps a non-NaN float64 to a uint64 with the same order, and
-// −0 to the key of +0 so the two compare equal, as they do as floats.
-func floatKey(v float64) uint64 {
-	if v == 0 {
-		v = 0 // folds −0 onto +0
-	}
+// orderKey maps a non-NaN float64 to a uint64 with the same order, −0
+// just below +0.
+func orderKey(v float64) uint64 {
 	b := math.Float64bits(v)
 	if b>>63 != 0 {
 		return ^b // negative: larger magnitude sorts first
@@ -319,20 +300,134 @@ func floatKey(v float64) uint64 {
 	return b | 1<<63
 }
 
-// keyBuf returns key scratch of length n.
-func (rs *radixSorter) keyBuf(n int) []uint64 {
-	if cap(rs.keys) < n {
-		rs.keys = make([]uint64, n)
+// entryLess is the order of a numeric dictionary: numbers by orderKey,
+// then NaNs by bit pattern.
+func entryLess(a, b float64) bool {
+	if an, bn := math.IsNaN(a), math.IsNaN(b); an || bn {
+		return an && bn && math.Float64bits(a) < math.Float64bits(b) || !an
 	}
-	return rs.keys[:n]
+	return orderKey(a) < orderKey(b)
 }
 
-// sort reorders perm (and keys with it, keys[i] being perm[i]'s key)
+// radixSorter builds the dictionaries with a stable LSD radix sort over
+// uint64 keys, one byte per pass, in linear time; its scratch is reused
+// across the columns of a segment.
+type radixSorter struct {
+	keys, keys2   []uint64
+	order, order2 []uint32
+}
+
+// numCol dictionary-codes a numeric column. The numbers are sorted by
+// orderKey and the NaN rows, after them, by bit pattern; each run of one
+// key becomes one dictionary entry.
+func (rs *radixSorter) numCol(col []float64) dictCol[float64] {
+	keys, order := rs.bufs(len(col))
+	m := 0
+	for i, v := range col {
+		if !math.IsNaN(v) {
+			keys[m], order[m] = orderKey(v), uint32(i)
+			m++
+		}
+	}
+	k := m
+	for i, v := range col {
+		if math.IsNaN(v) {
+			keys[k], order[k] = math.Float64bits(v), uint32(i)
+			k++
+		}
+	}
+	rs.sort(keys[:m], order[:m])
+	rs.sort(keys[m:], order[m:])
+	c := dictCol[float64]{codes: make([]uint16, len(col))}
+	c.dict = make([]float64, 0, distinct(keys[:m])+distinct(keys[m:]))
+	c.dict = appendEntries(c.dict, col, keys[:m], order[:m], c.codes)
+	c.nanFrom = len(c.dict)
+	c.dict = appendEntries(c.dict, col, keys[m:], order[m:], c.codes)
+	c.start, c.perm, _ = indexCodes(c.codes, len(c.dict))
+	return c
+}
+
+// catCol dictionary-codes a categorical column by its store-wide codes.
+func (rs *radixSorter) catCol(col []uint32) dictCol[uint32] {
+	keys, order := rs.bufs(len(col))
+	for i, v := range col {
+		keys[i], order[i] = uint64(v), uint32(i)
+	}
+	rs.sort(keys, order)
+	c := dictCol[uint32]{codes: make([]uint16, len(col))}
+	c.dict = appendEntries(make([]uint32, 0, distinct(keys)), col, keys, order, c.codes)
+	c.nanFrom = len(c.dict)
+	c.start, c.perm, _ = indexCodes(c.codes, len(c.dict))
+	return c
+}
+
+// distinct counts the runs of equal keys in sorted keys.
+func distinct(keys []uint64) int {
+	n := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// appendEntries appends one entry per run of equal keys to dict — the
+// value of the run's first row — and codes every row of the run with it.
+// keys are sorted and keys[i] is row order[i]'s key.
+func appendEntries[T float64 | uint32](dict, col []T, keys []uint64, order []uint32, codes []uint16) []T {
+	for i, r := range order {
+		if i == 0 || keys[i] != keys[i-1] {
+			dict = append(dict, col[r])
+		}
+		codes[r] = uint16(len(dict) - 1)
+	}
+	return dict
+}
+
+// indexCodes derives a column's index from its codes with one counting
+// pass: rows in ascending order land at their code's next free position,
+// so perm is ordered by code, then by row, and start[c] is where code c's
+// rows begin. It reports false when some code in [0, ndict) has no row.
+// Every code must be below ndict. Seal and decode both build the index
+// here, so a decoded segment's index is the sealed one by construction.
+func indexCodes(codes []uint16, ndict int) (start, perm []uint16, ok bool) {
+	next := make([]uint32, ndict)
+	for _, k := range codes {
+		next[k]++
+	}
+	start = make([]uint16, ndict)
+	var sum uint32
+	for k, cnt := range next {
+		if cnt == 0 {
+			return nil, nil, false
+		}
+		start[k], next[k] = uint16(sum), sum
+		sum += cnt
+	}
+	perm = make([]uint16, len(codes))
+	for i, k := range codes {
+		perm[next[k]] = uint16(i)
+		next[k]++
+	}
+	return start, perm, true
+}
+
+// bufs returns key and row scratch of length n.
+func (rs *radixSorter) bufs(n int) ([]uint64, []uint32) {
+	if cap(rs.keys) < n {
+		rs.keys = make([]uint64, n)
+		rs.order = make([]uint32, n)
+	}
+	return rs.keys[:n], rs.order[:n]
+}
+
+// sort reorders order (and keys with it, keys[i] being order[i]'s key)
 // stably by key. One counting pass histograms all eight bytes; a byte
 // that is the same in every key is skipped, so a column pays only for
 // the bytes in which its values differ.
-func (rs *radixSorter) sort(keys []uint64, perm []uint32) {
-	n := len(perm)
+func (rs *radixSorter) sort(keys []uint64, order []uint32) {
+	n := len(order)
 	if n < 2 {
 		return
 	}
@@ -344,10 +439,10 @@ func (rs *radixSorter) sort(keys []uint64, perm []uint32) {
 	}
 	if cap(rs.keys2) < n {
 		rs.keys2 = make([]uint64, n)
-		rs.perm2 = make([]uint32, n)
+		rs.order2 = make([]uint32, n)
 	}
-	srcK, srcP := keys, perm
-	dstK, dstP := rs.keys2[:n], rs.perm2[:n]
+	srcK, srcP := keys, order
+	dstK, dstP := rs.keys2[:n], rs.order2[:n]
 	for d := range counts {
 		c := &counts[d]
 		if c[byte(keys[0]>>(8*d))] == uint32(n) {
@@ -370,19 +465,10 @@ func (rs *radixSorter) sort(keys []uint64, perm []uint32) {
 		srcK, dstK = dstK, srcK
 		srcP, dstP = dstP, srcP
 	}
-	if &srcP[0] != &perm[0] {
-		copy(perm, srcP)
+	if &srcP[0] != &order[0] {
+		copy(order, srcP)
+		copy(keys, srcK)
 	}
-}
-
-// zoneEnds returns the zone map of a column from its sorted permutation:
-// the values at both ends, or zeros when perm is empty. Every perm entry
-// must index col.
-func zoneEnds[T float64 | uint32](col []T, perm []uint32) (lo, hi T) {
-	if m := len(perm); m > 0 {
-		lo, hi = col[perm[0]], col[perm[m-1]]
-	}
-	return lo, hi
 }
 
 // eval evaluates a planned conjunction over the segment into words, the
@@ -390,8 +476,8 @@ func zoneEnds[T float64 | uint32](col []T, perm []uint32) (lo, hi T) {
 // entry). scratch is a caller-owned window of the same length. The result
 // is exactly the rows a row-at-a-time scan would match.
 //
-// Every conjunct first resolves to a span (zone map, then binary search
-// through the permutation).
+// Every conjunct first resolves to a span (dictCol.span: a binary search
+// of the column's dictionary, then a start lookup).
 // Then each span costs min(k, n−k) bit writes for its k matching rows: at
 // most n/2 matches are scattered, more are written as a word fill that
 // clears the n−k failing rows. The span with the fewest matches fills the
@@ -404,7 +490,8 @@ func (d *segData) eval(p *plan, words, scratch []uint64) {
 	for i := 0; i < len(p.ivs)+len(p.rest); i++ {
 		var sp span
 		if i < len(p.ivs) {
-			sp = d.intervalSpan(&p.ivs[i])
+			iv := &p.ivs[i]
+			sp = d.nums[iv.col].span(iv.lo, !iv.loIncl, iv.hi, !iv.hiIncl)
 		} else {
 			sp = d.equalSpan(p.rest[i-len(p.ivs)])
 		}
@@ -444,91 +531,74 @@ func (d *segData) eval(p *plan, words, scratch []uint64) {
 	}
 }
 
-// span is one conjunct resolved against a segment. The rows perm[lo:hi]
-// are inside it; every other row (the rest of perm, plus the nan rows of a
-// numeric column) is outside. An interval or categorical = matches the
-// inside, a != matches the outside: NaN rows and absent codes fail every
-// interval and pass every !=, exactly as the scan path treats them. k is
-// the number of matching rows.
+// span is one conjunct resolved against a segment column. The rows
+// perm[lo:hi] are inside it; every other row (the rest of perm, the NaN
+// rows of a numeric column among them) is outside. An interval or
+// categorical = matches the inside, a != matches the outside: NaN rows
+// and absent codes fail every interval and pass every !=, exactly as the
+// scan path treats them. k is the number of matching rows.
 type span struct {
-	perm, nan []uint32
+	perm      []uint16
 	lo, hi, k int
 	out       bool
 }
 
 // rows applies op to the span's matching rows (match) or its failing ones.
-func (sp *span) rows(ws []uint64, match bool, op func([]uint64, []uint32)) {
+func (sp *span) rows(ws []uint64, match bool, op func([]uint64, []uint16)) {
 	if match != sp.out {
 		op(ws, sp.perm[sp.lo:sp.hi])
 		return
 	}
 	op(ws, sp.perm[:sp.lo])
 	op(ws, sp.perm[sp.hi:])
-	op(ws, sp.nan)
 }
 
-// intervalSpan resolves one merged interval: a single contiguous range of
-// the sorted permutation, however many range conditions produced it. The
-// zone map settles the segment first: an interval disjoint from [min,max]
-// matches nothing. A bound that every non-NaN value passes — among them an
-// inclusive −∞ lower or +∞ upper bound, so one side of every one-sided
-// threshold — is that end of perm without a search; an interval covering
-// [min,max] of a NaN-free column therefore spans every row. Any other
-// bound costs one search.
-func (d *segData) intervalSpan(iv *numInterval) span {
-	idx := &d.nidx[iv.col]
-	sp := span{perm: idx.perm, nan: idx.nan}
-	if len(idx.perm) == 0 || iv.lo > idx.max || iv.lo == idx.max && !iv.loIncl ||
-		iv.hi < idx.min || iv.hi == idx.min && !iv.hiIncl {
+// span resolves the values between lo and hi — each end excluded when its
+// open flag is set — to the perm range of their rows: a binary search of
+// the non-NaN dictionary entries for each end, then a start lookup. The
+// dictionary's ends settle the segment first: a range disjoint from them
+// (or with a NaN end) matches nothing, and an end that every entry passes
+// is that end of the range without a search, so one side of every
+// one-sided threshold costs nothing and a range covering both ends spans
+// every non-NaN row. It is the one span resolver of both column kinds.
+func (c *dictCol[T]) span(lo T, loOpen bool, hi T, hiOpen bool) span {
+	sp := span{perm: c.perm}
+	vals := c.dict[:c.nanFrom]
+	if len(vals) == 0 {
 		return sp
 	}
-	col, n := d.nums[iv.col], len(idx.perm)
-	sp.hi = n
-	if iv.lo > idx.min || iv.lo == idx.min && !iv.loIncl {
-		sp.lo = searchPerm(col, idx.perm, 0, n, iv.lo, !iv.loIncl)
+	first, last := vals[0], vals[len(vals)-1]
+	if !(lo < last || lo == last && !loOpen) || !(hi > first || hi == first && !hiOpen) {
+		return sp
 	}
-	if iv.hi < idx.max || iv.hi == idx.max && !iv.hiIncl {
-		sp.hi = searchPerm(col, idx.perm, 0, n, iv.hi, iv.hiIncl)
+	a, b := 0, len(vals)
+	if lo > first || lo == first && loOpen {
+		a = searchDict(vals, lo, loOpen)
 	}
+	if hi < last || hi == last && hiOpen {
+		b = searchDict(vals, hi, !hiOpen)
+	}
+	sp.lo, sp.hi = c.pos(a), c.pos(b)
 	sp.k = sp.hi - sp.lo
 	return sp
 }
 
 // equalSpan resolves a residual condition — numeric != or categorical
-// =/!= — to the equal range of its value, which is empty when the value is
-// NaN, absent from the dictionary or outside the zone map. A value at an
-// end of the zone map starts or ends its range at that end of perm without
-// a search, so a two-code column pays one search, not two.
+// =/!= — to the perm range of its value's rows, which is empty when the
+// value is NaN or absent from the segment.
 func (d *segData) equalSpan(c compiledCond) span {
 	var sp span
 	if c.numeric {
-		idx := &d.nidx[c.col]
-		sp = span{perm: idx.perm, nan: idx.nan, out: true} // the planner leaves only != here
-		if len(idx.perm) > 0 && c.v >= idx.min && c.v <= idx.max {
-			col, n := d.nums[c.col], len(idx.perm)
-			sp.hi = n
-			if c.v > idx.min {
-				sp.lo = searchPerm(col, idx.perm, 0, n, c.v, false)
-			}
-			if c.v < idx.max {
-				sp.hi = searchPerm(col, idx.perm, sp.lo, n, c.v, true)
-			}
-		}
+		sp = d.nums[c.col].span(c.v, false, c.v, false)
+		sp.out = true // the planner leaves only != here
 	} else {
-		idx := &d.cidx[c.col]
-		sp = span{perm: idx.perm, out: c.op == Ne}
-		if c.codeOK && len(idx.perm) > 0 && c.code >= idx.min && c.code <= idx.max {
-			col, n := d.cats[c.col], len(idx.perm)
-			sp.hi = n
-			if c.code > idx.min {
-				sp.lo = searchPerm(col, idx.perm, 0, n, c.code, false)
-			}
-			if c.code < idx.max {
-				sp.hi = searchPerm(col, idx.perm, sp.lo, n, c.code, true)
-			}
+		col := &d.cats[c.col]
+		sp = span{perm: col.perm}
+		if c.codeOK {
+			sp = col.span(c.code, false, c.code, false)
 		}
+		sp.out = c.op == Ne
 	}
-	sp.k = sp.hi - sp.lo
 	if sp.out {
 		sp.k = d.n - sp.k
 	}
@@ -545,19 +615,30 @@ func setAllSegment(out []uint64, n int) {
 	}
 }
 
-// searchPerm returns the first position k in [lo, hi) whose value
-// col[perm[k]] is >= v, or > v when strict; hi when there is none. The
-// positions must be sorted ascending by value, and v is never NaN. The
-// top steps of every search land on the same few positions, so they stay
-// cached across queries; only the last steps miss.
-func searchPerm[T float64 | uint32](col []T, perm []uint32, lo, hi int, v T, strict bool) int {
+// searchDict returns the first index of the ascending vals whose value is
+// >= v, or > v when strict; len(vals) when there is none. v is never NaN.
+// A dictionary holds a few hundred values at most for data recorded at a
+// fixed precision, so its top steps stay cached across queries.
+func searchDict[T float64 | uint32](vals []T, v T, strict bool) int {
+	lo, hi := 0, len(vals)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if x := col[perm[m]]; x > v || !strict && x == v {
+		if x := vals[m]; x > v || !strict && x == v {
 			hi = m
 		} else {
 			lo = m + 1
 		}
 	}
 	return lo
+}
+
+// matchRow is the compiled row-at-a-time evaluator over a sealed segment:
+// EvalScan's oracle, reading every value back through its dictionary.
+func (d *segData) matchRow(cc []compiledCond, i int) bool {
+	for _, c := range cc {
+		if c.numeric && !c.matchNum(d.nums[c.col].at(i)) || !c.numeric && !c.matchCode(d.cats[c.col].at(i)) {
+			return false
+		}
+	}
+	return true
 }

@@ -180,8 +180,9 @@ func (sg *segment) window(words []uint64) []uint64 {
 // planned once (range conditions on one column merge into a single
 // interval), then the plan scatters across the shards — each shard task
 // evaluates its own segments locally into the segment's disjoint window of
-// the snapshot bitmap (zone map, then binary searches resolve each conjunct
-// to a permutation range, and each range costs min(k, n−k) bit writes:
+// the snapshot bitmap (the dictionary's ends, then binary searches of the
+// dictionary resolve each conjunct to a permutation range, and each range
+// costs min(k, n−k) bit writes:
 // scatter the k matches or clear the n−k failures; see segData.eval),
 // reusing one pooled scratch window — and the unindexed tail falls back to
 // a compiled scan. The gathered bitmap is exact, so the parallelism cannot
@@ -237,7 +238,7 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 		func(sg *segment, d *segData, _ []uint64) {
 			w := sg.window(bm.words)
 			for i := 0; i < sg.n; i++ {
-				if matchRow(cc, d.nums, d.cats, i) {
+				if d.matchRow(cc, i) {
 					setBit(w, uint32(i))
 				}
 			}

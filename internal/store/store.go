@@ -1,20 +1,23 @@
 // Package store is the columnar segment engine behind the statistical
-// server: an immutable, column-oriented row store with per-segment sorted
-// permutation indexes and zone maps, built so a compiled predicate
+// server: an immutable, column-oriented row store with per-segment
+// dictionary-coded columns, their code-sorted permutations and zone maps,
+// built so a compiled predicate
 // evaluates as index range scans intersected into a row bitmap instead of
 // the row-at-a-time full-table sweep that capped the server at toy sizes.
 //
 // Layout. Rows are ingested append-only into fixed-size segments
-// (DefaultSegmentSize rows, always a multiple of 64). Numeric attributes
-// are contiguous []float64 per segment; categorical attributes are
-// dictionary-encoded []uint32 codes against a store-wide append-only
-// dictionary. When a segment fills it is sealed: a zone map (min/max) and
-// a sorted permutation index are built per numeric column, a code-sorted
-// permutation per categorical column — both by one linear-time radix
-// sort — and the segment never changes again. No index copies the values: sorted position k reads
-// col[perm[k]]. The open tail stays
-// unindexed and is evaluated by a compiled scan — it is at most one
-// segment of rows.
+// (DefaultSegmentSize rows, a multiple of 64 of at most MaxSegmentSize).
+// The open tail holds numeric attributes as []float64 and categorical
+// ones as []uint32 codes against a store-wide append-only dictionary.
+// When a segment fills it is sealed: every column becomes a sorted
+// per-segment dictionary of its distinct values plus a 16-bit code per
+// row, and a code-sorted permutation with the start of each code's rows
+// indexes it — all in linear time (a radix sort, then one counting pass)
+// — and the segment never changes again. Data recorded at a fixed
+// precision has a few hundred distinct values per segment column, so a
+// sealed row costs about 28 bytes where raw values and 32-bit
+// permutations cost 68. The open tail stays unindexed and is evaluated by
+// a compiled scan — it is at most one segment of rows.
 //
 // Snapshots. Because sealed segments are immutable, tail buffers are
 // never recycled (sealing allocates fresh ones) and ingest writes only
@@ -27,8 +30,9 @@
 //
 // Evaluation. Eval answers a conjunction of conditions with one bitmap per
 // snapshot: per segment, each condition resolves to a permutation range
-// (zone map for whole-segment skip/accept, else a binary search through
-// the permutation, reading col[perm[k]]) whose rows are set in the
+// (the dictionary's ends for whole-segment skip/accept, else a binary
+// search of the dictionary and a lookup of where the code's rows start)
+// whose rows are set in the
 // segment's word-aligned bitmap window, and conditions intersect
 // word-parallel (Bitmap). Aggregates then
 // run off the bitmap: COUNT is a popcount, SUM/AVG a bitmap-driven sweep
@@ -39,8 +43,8 @@
 // execution model and the determinism argument.
 //
 // Tiers. A store opened with a data directory (Create/Open) is durable and
-// two-tiered: sealing also writes the segment — raw columns plus its
-// indexes, CRC-checksummed — to disk, and under Options.MemCap decoded
+// two-tiered: sealing also writes the segment — its dictionaries and row
+// codes, CRC-checksummed — to disk, and under Options.MemCap decoded
 // segments spill out of memory and are decoded again on demand from one
 // checksum-verified read of their file; the resident tier is the only
 // cache. Every reader
@@ -63,9 +67,10 @@ import (
 	"privacy3d/internal/dataset"
 )
 
-// DefaultSegmentSize is the number of rows per sealed segment. It must be a
-// multiple of 64 so every segment owns a word-aligned window of the
-// snapshot bitmap (parallel segment evaluation then writes disjoint words).
+// DefaultSegmentSize is the number of rows per sealed segment. Every size
+// must be a multiple of 64 so each segment owns a word-aligned window of
+// the snapshot bitmap (parallel segment evaluation then writes disjoint
+// words), and at most MaxSegmentSize.
 const DefaultSegmentSize = 8192
 
 // Op is a comparison operator, ordinal-compatible with sdcquery's.
@@ -178,8 +183,8 @@ type Store struct {
 }
 
 // New creates an empty store with the given schema and the default shard
-// count. segSize ≤ 0 selects DefaultSegmentSize; other values must be
-// positive multiples of 64.
+// count. segSize 0 selects DefaultSegmentSize; other values must be
+// multiples of 64 in [64, MaxSegmentSize].
 func New(attrs []dataset.Attribute, segSize int) (*Store, error) {
 	return NewSharded(attrs, segSize, 0)
 }
@@ -202,11 +207,11 @@ func NewSharded(attrs []dataset.Attribute, segSize, shards int) (*Store, error) 
 // fresh tail) without publishing a snapshot; Create/Open finish durable
 // setup before the first publish.
 func newStore(attrs []dataset.Attribute, segSize, shards int, dir string, opts Options) (*Store, error) {
-	if segSize <= 0 {
+	if segSize == 0 {
 		segSize = DefaultSegmentSize
 	}
-	if segSize%64 != 0 {
-		return nil, fmt.Errorf("store: segment size must be a multiple of 64, got %d", segSize)
+	if err := checkSegmentSize(segSize); err != nil {
+		return nil, err
 	}
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("store: schema needs at least one attribute")
@@ -261,7 +266,8 @@ func (s *Store) freshTail() {
 	s.tailLen = 0
 }
 
-// sealLocked freezes the full tail (segSize rows written) into an indexed immutable segment. A
+// sealLocked freezes the full tail (segSize rows written) into a
+// dictionary-coded, indexed immutable segment. A
 // durable store also writes the segment's checksummed file (tmp + fsync +
 // rename) before the segment becomes visible, so every sealed segment a
 // manifest will ever reference is already safely on disk. The segment list
@@ -279,7 +285,7 @@ func (s *Store) sealLocked() error {
 	}
 	if s.tier.durable() {
 		name := segFileName(sg.ord)
-		size, crc, err := writeBlockFile(s.tier.dir, name, sg.base, d.n, d.nums, d.cats, d)
+		size, crc, err := writeSegFile(s.tier.dir, name, sg.base, s.attrs, d)
 		if err != nil {
 			return err
 		}
@@ -541,39 +547,39 @@ func (s *Snapshot) matchTail(cc []compiledCond, i int) bool {
 	return matchRow(cc, s.tailNums, s.tailCats, i)
 }
 
-// matchRow is the compiled row-at-a-time evaluator shared by the tail and
-// the scan path. Float comparisons give NaN exactly the semantics the
-// index path reproduces (NaN fails everything except !=).
+// matchRow is the compiled row-at-a-time evaluator over raw columns (the
+// open tail); segData.matchRow is its twin over a sealed segment.
 func matchRow(cc []compiledCond, nums [][]float64, cats [][]uint32, i int) bool {
 	for _, c := range cc {
-		if c.numeric {
-			v := nums[c.col][i]
-			var ok bool
-			switch c.op {
-			case Lt:
-				ok = v < c.v
-			case Le:
-				ok = v <= c.v
-			case Gt:
-				ok = v > c.v
-			case Ge:
-				ok = v >= c.v
-			case Eq:
-				ok = v == c.v
-			case Ne:
-				ok = v != c.v
-			}
-			if !ok {
-				return false
-			}
-		} else {
-			eq := c.codeOK && cats[c.col][i] == c.code
-			if (c.op == Eq) != eq {
-				return false
-			}
+		if c.numeric && !c.matchNum(nums[c.col][i]) || !c.numeric && !c.matchCode(cats[c.col][i]) {
+			return false
 		}
 	}
 	return true
+}
+
+// matchNum tests one numeric value. Float comparisons give NaN exactly
+// the semantics the index path reproduces (NaN fails everything except
+// !=).
+func (c *compiledCond) matchNum(v float64) bool {
+	switch c.op {
+	case Lt:
+		return v < c.v
+	case Le:
+		return v <= c.v
+	case Gt:
+		return v > c.v
+	case Ge:
+		return v >= c.v
+	case Eq:
+		return v == c.v
+	}
+	return v != c.v
+}
+
+// matchCode tests one categorical code.
+func (c *compiledCond) matchCode(code uint32) bool {
+	return (c.codeOK && code == c.code) == (c.op == Eq)
 }
 
 // Count returns the number of rows set in bm (popcount).
@@ -601,14 +607,17 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 		if !anyWord(words) {
 			continue
 		}
-		colv := sg.mustAcquire().nums[col]
+		c := &sg.mustAcquire().nums[col]
+		dict := c.dict
 		for wi, w := range words {
 			if w == 0 {
 				continue
 			}
-			base := wi << 6
+			// The word's 64 row codes as an array: a row index masked to
+			// 6 bits needs no bounds check.
+			codes := (*[64]uint16)(c.codes[wi<<6:])
 			for w != 0 {
-				sum += colv[base+bits.TrailingZeros64(w)]
+				sum += dict[codes[bits.TrailingZeros64(w)&63]]
 				w &= w - 1
 			}
 		}
@@ -629,7 +638,7 @@ func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
 // an unreadable spilled segment, like Sum.
 func (s *Snapshot) Float(i, col int) float64 {
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		return s.segs[sg].mustAcquire().nums[col][i%s.store.segSize]
+		return s.segs[sg].mustAcquire().nums[col].at(i % s.store.segSize)
 	}
 	return s.tailNums[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 }
@@ -639,7 +648,7 @@ func (s *Snapshot) Float(i, col int) float64 {
 func (s *Snapshot) Cat(i, col int) string {
 	var code uint32
 	if sg := i / s.store.segSize; sg < len(s.segs) {
-		code = s.segs[sg].mustAcquire().cats[col][i%s.store.segSize]
+		code = s.segs[sg].mustAcquire().cats[col].at(i % s.store.segSize)
 	} else {
 		code = s.tailCats[col][:s.tailLen][i-len(s.segs)*s.store.segSize]
 	}
@@ -697,11 +706,19 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 		d := sg.mustAcquire()
 		for j, a := range s.store.attrs {
 			if a.Kind == dataset.Numeric {
-				nums[j] = append(nums[j], d.nums[j]...)
-			} else {
-				for _, code := range d.cats[j] {
-					cats[j] = append(cats[j], s.store.dict.str(code))
+				c := &d.nums[j]
+				for _, k := range c.codes {
+					nums[j] = append(nums[j], c.dict[k])
 				}
+				continue
+			}
+			c := &d.cats[j]
+			strs := make([]string, len(c.dict))
+			for k, code := range c.dict {
+				strs[k] = s.store.dict.str(code)
+			}
+			for _, k := range c.codes {
+				cats[j] = append(cats[j], strs[k])
 			}
 		}
 	}

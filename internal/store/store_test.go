@@ -410,6 +410,24 @@ func TestInvalidSegmentSize(t *testing.T) {
 	if _, err := New(testSchema(), 100); err == nil {
 		t.Fatal("segment size 100 accepted; must be a multiple of 64")
 	}
+	// Row offsets are 16-bit: a segment holds at most MaxSegmentSize rows.
+	for _, n := range []int{-64, 32, MaxSegmentSize + 64, 1 << 20} {
+		if _, err := New(testSchema(), n); err == nil {
+			t.Errorf("New accepted segment size %d", n)
+		}
+		if _, err := Create(t.TempDir(), testSchema(), Options{SegmentSize: n}); err == nil {
+			t.Errorf("Create accepted segment size %d", n)
+		}
+	}
+	for _, n := range []int{64, MaxSegmentSize} {
+		s, err := Create(t.TempDir(), testSchema(), Options{SegmentSize: n})
+		if err != nil {
+			t.Fatalf("Create with segment size %d: %v", n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s, err := New(testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,9 @@ func TierGauges() (resident, spilled, spilledReads int64) {
 
 // Options configures a durable store.
 type Options struct {
-	// SegmentSize is the rows per sealed segment (0 selects
-	// DefaultSegmentSize on Create; on Open it must match the manifest or
-	// be 0).
+	// SegmentSize is the rows per sealed segment: a multiple of 64 in
+	// [64, MaxSegmentSize] (0 selects DefaultSegmentSize on Create; on
+	// Open it must match the manifest or be 0).
 	SegmentSize int
 	// Shards is the segment shard count (0 selects DefaultShards on
 	// Create, the manifest's count on Open).
@@ -200,7 +200,7 @@ func (fs *fileSource) Load() (*segData, error) {
 		fs.t.forget(fs.ord, f)
 		return nil, fmt.Errorf("store: %s: checksum mismatch (file %08x, manifest %08x)", fs.name, crc, fs.crc)
 	}
-	_, d, err := decodeBlock(&blockReader{buf: buf, name: fs.name}, fs.t.attrs, true)
+	_, d, err := decodeSegment(&blockReader{buf: buf, name: fs.name}, fs.t.attrs)
 	if err == nil && d.n != fs.t.segSize {
 		return nil, fmt.Errorf("store: %s: %d rows, segment size is %d", fs.name, d.n, fs.t.segSize)
 	}
@@ -316,12 +316,12 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // manifest records — decoded forms come back one checksum-verified file
 // read at a time as queries touch them. A manifest written before zone
 // maps were persisted has them filled by decoding each segment once, and
-// a v1 segment file is decoded once to account the footprint its decoded
-// form now holds; those decodes check the CRC too, so a corrupt one fails
-// Open. The epoch is bumped and committed before the store is returned,
-// so snapshot versions from this incarnation can never collide with
-// versions any previous incarnation may have handed out after its last
-// commit.
+// a SEG v1 or v2 file is decoded once to account the footprint its
+// dictionary-coded form holds; those decodes check the CRC too, so a
+// corrupt one fails Open. The epoch is bumped and committed before the
+// store is returned, so snapshot versions from this incarnation can never
+// collide with versions any previous incarnation may have handed out
+// after its last commit.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
@@ -332,7 +332,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		lockF.Close()
 		return nil, err
 	}
-	if opts.SegmentSize > 0 && opts.SegmentSize != m.SegSize {
+	if opts.SegmentSize != 0 && opts.SegmentSize != m.SegSize {
 		lockF.Close()
 		return nil, fmt.Errorf("store: %s has segment size %d, requested %d", dir, m.SegSize, opts.SegmentSize)
 	}
@@ -382,12 +382,13 @@ func Open(dir string, opts Options) (*Store, error) {
 			tier:  s.tier,
 			src:   src,
 		}
-		if sg.zones == nil || b.v1 {
-			// A manifest from before zone maps were persisted, or a v1
-			// segment file, whose recorded footprint counts the sorted
-			// copies v1 carried: decode once so this Open's commit records
-			// the zones and the footprint of the current decoded layout.
-			// Zones the manifest does record must match the decode.
+		if sg.zones == nil || b.legacy {
+			// A manifest from before zone maps were persisted, or a SEG v1
+			// or v2 file, whose recorded footprint is that of the raw
+			// columns and 32-bit indexes those formats decoded to: decode
+			// once so this Open's commit records the zones and the
+			// footprint of the dictionary-coded form. Zones the manifest
+			// does record must match the decode.
 			load := sg.load
 			if sg.zones == nil {
 				load = src.Load
@@ -485,18 +486,18 @@ func (s *Store) loadTail(b *manifestBlock) error {
 	if err != nil {
 		return err
 	}
-	_, d, err := decodeBlock(&blockReader{buf: buf, name: b.File}, s.attrs, false)
+	_, rows, nums, cats, err := decodeTail(&blockReader{buf: buf, name: b.File}, s.attrs)
 	if err != nil {
 		return err
 	}
-	if d.n != b.Rows || d.n > s.segSize {
-		return fmt.Errorf("store: %s: %d rows, manifest says %d (segment size %d)", b.File, d.n, b.Rows, s.segSize)
+	if rows != b.Rows || rows > s.segSize {
+		return fmt.Errorf("store: %s: %d rows, manifest says %d (segment size %d)", b.File, rows, b.Rows, s.segSize)
 	}
 	for j := range s.attrs {
-		copy(s.tailNums[j], d.nums[j])
-		copy(s.tailCats[j], d.cats[j])
+		copy(s.tailNums[j], nums[j])
+		copy(s.tailCats[j], cats[j])
 	}
-	s.tailLen = d.n
+	s.tailLen = rows
 	return nil
 }
 
@@ -556,7 +557,7 @@ func (s *Store) commitLocked() error {
 	var tailName string
 	if s.tailLen > 0 {
 		tailName = tailFileName(seq)
-		size, crc, err := writeBlockFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, s.tailNums, s.tailCats, nil)
+		size, crc, err := writeTailFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, s.tailNums, s.tailCats)
 		if err != nil {
 			return err
 		}

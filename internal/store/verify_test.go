@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -66,30 +65,48 @@ func wantEveryEvalFails(t *testing.T, snap *Snapshot, file string) {
 	}
 }
 
-// TestSwappedPermEntriesFailEvalNotOpen swaps two perm entries in the
-// middle of a committed v2 segment file, keeping its size: the decoder
-// accepts such a file and its zone ends do not move, so only the checksum
-// can catch it. Open checks sizes only and adopts the newest commit; every
-// query that reads the file fails naming it, and none answers.
-func TestSwappedPermEntriesFailEvalNotOpen(t *testing.T) {
+// TestSwappedRowCodesFailEvalNotOpen swaps two different row codes of a
+// committed SEG v3 segment file, keeping its size: the file still decodes
+// (every code names an entry, every entry keeps a row) and its zone ends
+// do not move, so only the checksum can catch it.
+func TestSwappedRowCodesFailEvalNotOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := createPersistStore(t, dir, persistTestRows, Options{})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	name := segFileName(1)
+	buf, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Column 0 (height): 24-byte header, tag, ndict, dict, then codes.
+	ndict := int(binary.LittleEndian.Uint32(buf[25:]))
+	codesAt := 24 + 1 + 4 + 8*ndict
+	a := codesAt + 2*100
+	b := a + 2
+	for binary.LittleEndian.Uint16(buf[b:]) == binary.LittleEndian.Uint16(buf[a:]) {
+		b += 2
+	}
+	swapFailsEveryQuery(t, dir, name, a, b, 2)
+}
+
+// swapFailsEveryQuery swaps the width-byte entries at offsets a and b of
+// segment file name, checks that the swapped file still decodes, then
+// reopens dir capped and checks that Open recovers every row and every
+// query over the file fails naming it, twice (a failed segment is not
+// promoted, so the next query verifies the file again).
+func swapFailsEveryQuery(t *testing.T, dir, name string, a, b, width int) {
+	t.Helper()
 	path := filepath.Join(dir, name)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Column 0 (height): 24-byte header, tag, values, permLen, then perm.
-	permAt := 24 + 1 + 8*persistSegSize + 4
-	a, b := permAt+4*100, permAt+4*101
-	pa, pb := binary.LittleEndian.Uint32(buf[a:]), binary.LittleEndian.Uint32(buf[b:])
-	binary.LittleEndian.PutUint32(buf[a:], pb)
-	binary.LittleEndian.PutUint32(buf[b:], pa)
-	if _, _, err := decodeBlock(&blockReader{buf: buf, name: name}, persistDataset(t, 1).Attrs(), true); err != nil {
+	ea := append([]byte(nil), buf[a:a+width]...)
+	copy(buf[a:a+width], buf[b:b+width])
+	copy(buf[b:b+width], ea)
+	if _, _, err := decodeSegment(&blockReader{buf: buf, name: name}, persistDataset(t, 1).Attrs()); err != nil {
 		t.Fatalf("the swapped file no longer decodes, so the test would not need the checksum: %v", err)
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
@@ -102,8 +119,6 @@ func TestSwappedPermEntriesFailEvalNotOpen(t *testing.T) {
 		t.Fatalf("Open recovered %d rows, want all %d: a same-size corrupt segment must not roll back the commit", r.Rows(), persistTestRows)
 	}
 	wantEveryEvalFails(t, r.Snapshot(), name)
-	// The failed segment was not promoted: the next query reads and
-	// verifies the file again.
 	wantEveryEvalFails(t, r.Snapshot(), name)
 }
 
@@ -128,7 +143,7 @@ func TestBitFlipAfterOpenFailsEvalUntilRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, path, 24+1+8*100) // a height value
+	flipByte(t, path, 24+1+4+8*3) // a height dictionary entry
 	wantEveryEvalFails(t, r.Snapshot(), name)
 	func() {
 		defer func() {
@@ -166,9 +181,9 @@ func flipByte(t *testing.T, path string, off int64) {
 	}
 }
 
-// withPerValueDecode runs fn with blockReader's bulk copy switched off,
-// so f64s and u32s take the per-value fallback.
-func withPerValueDecode(fn func()) {
+// withPerValueCodec runs fn with the bulk copies of readSlice and
+// putSlice switched off, so they take the per-value fallback.
+func withPerValueCodec(fn func()) {
 	saved := hostLittleEndian
 	hostLittleEndian = false
 	defer func() { hostLittleEndian = saved }()
@@ -201,15 +216,15 @@ func TestBulkDecodeMatchesPerValue(t *testing.T) {
 		var bulkU, slowU []uint32
 		decode := func(f *[]float64, u *[]uint32) {
 			var err error
-			if *f, err = (&blockReader{buf: raw}).f64s(n); err != nil {
+			if *f, err = readSlice[float64](&blockReader{buf: raw}, n); err != nil {
 				t.Fatal(err)
 			}
-			if *u, err = (&blockReader{buf: raw}).u32s(2 * n); err != nil {
+			if *u, err = readSlice[uint32](&blockReader{buf: raw}, 2*n); err != nil {
 				t.Fatal(err)
 			}
 		}
 		decode(&bulkF, &bulkU)
-		withPerValueDecode(func() { decode(&slowF, &slowU) })
+		withPerValueCodec(func() { decode(&slowF, &slowU) })
 		if len(bulkF) != n || len(slowF) != n || len(bulkU) != 2*n || len(slowU) != 2*n {
 			t.Fatalf("n=%d: decoded lengths %d/%d f64, %d/%d u32", n, len(bulkF), len(slowF), len(bulkU), len(slowU))
 		}
@@ -227,27 +242,19 @@ func TestBulkDecodeMatchesPerValue(t *testing.T) {
 	}
 
 	seg, attrs := zoneSegmentFile(t)
-	_, bulk, err := decodeBlock(&blockReader{buf: seg, name: "seg"}, attrs, true)
+	_, bulk, err := decodeSegment(&blockReader{buf: seg, name: "seg"}, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var slow *segData
-	withPerValueDecode(func() {
-		_, slow, err = decodeBlock(&blockReader{buf: seg, name: "seg"}, attrs, true)
+	withPerValueCodec(func() {
+		_, slow, err = decodeSegment(&blockReader{buf: seg, name: "seg"}, attrs)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range bulk.nums {
-		same := len(bulk.nums[j]) == len(slow.nums[j]) && slices.Equal(bulk.cats[j], slow.cats[j]) &&
-			slices.Equal(bulk.nidx[j].perm, slow.nidx[j].perm) && slices.Equal(bulk.nidx[j].nan, slow.nidx[j].nan) &&
-			slices.Equal(bulk.cidx[j].perm, slow.cidx[j].perm)
-		for i := 0; same && i < len(bulk.nums[j]); i++ {
-			same = math.Float64bits(bulk.nums[j][i]) == math.Float64bits(slow.nums[j][i])
-		}
-		if !same {
-			t.Fatalf("column %d decodes differently through the bulk and per-value paths", j)
-		}
+	if diff := sameSegData(slow, bulk); diff != "" {
+		t.Fatalf("the segment decodes differently through the bulk and per-value paths: %s", diff)
 	}
 }
 
