@@ -63,12 +63,14 @@ race:
 # end-to-end RangeStats) across worker counts, benchserve drives a
 # Zipf query workload against the statistical server across client counts,
 # recording sustained QPS and p50/p99 latency, and benchstore compares the
-# columnar segment store's indexed path against the compiled row scan at
-# 100k/1M rows (cache disabled, so every query is a miss), requiring ≥ 5×
-# on selective predicates at 1M plus a pinned-snapshot stability check
-# under concurrent ingest. All four hard-fail unless every parallel/cached/
-# indexed/batched result is byte-identical to the sequential/uncached/scan/
-# per-query reference, and record their trajectories in BENCH_linkage.json /
+# statistical server's indexed path (cache disabled, so every query is a
+# miss) against the compiled row scan — store.Snapshot.EvalScan + Sum called
+# directly on the store — at 100k/1M rows, requiring ≥ 5× on selective
+# predicates at 1M plus a pinned-snapshot stability check under concurrent
+# ingest. All four hard-fail unless every parallel/cached/indexed/batched
+# result is byte-identical to the sequential/uncached/scan/per-query
+# reference (benchstore: indexed ≡ Query.Evaluate, Eval ≡ EvalScan
+# bitmaps), and record their trajectories in BENCH_linkage.json /
 # BENCH_pir.json / BENCH_serve.json / BENCH_store.json. On multi-core
 # machines benchpir and benchstore additionally require real worker scaling
 # (-minscaling 2: ≥ 2× at max workers vs workers=1); on a single CPU that

@@ -1,35 +1,44 @@
 // Command benchstore is the perf gate of the columnar segment store: it
 // measures cache-miss query throughput of the indexed path (zone maps +
-// sorted per-segment indexes + bitmap intersection) against the compiled
-// row-scan baseline on synthetic clinical-trial data, and hard-fails unless
+// dictionary-coded per-segment indexes + bitmap intersection, through a
+// cache-disabled sdcquery.Server) against the compiled row-scan baseline
+// (store.Snapshot.EvalScan + Sum, called directly on a store.FromDataset
+// copy of the same data) on synthetic clinical-trial data, and hard-fails
+// unless
 //
-//  1. every indexed answer is byte-identical to the scan-path answer AND to
-//     the seed evaluator Query.Evaluate (identity gate),
+//  1. every indexed answer is byte-identical to the seed evaluator
+//     Query.Evaluate, and every Snapshot.Eval bitmap word-identical to the
+//     EvalScan bitmap of the same conditions (identity gate),
 //
-//  2. the indexed path sustains at least -minspeedup× the scan path's QPS
-//     on selective predicates at the largest row count (speedup gate), and
+//  2. one AskBatch over the selective workload answers byte-identically to
+//     the per-query references at every worker count (batch identity gate),
 //
-//  3. a snapshot pinned before a burst of concurrent ingest keeps returning
+//  3. the indexed path sustains at least -minspeedup× the scan path's QPS
+//     on selective predicates at the largest row count (speedup gate),
+//
+//  4. a snapshot pinned before a burst of concurrent ingest keeps returning
 //     bit-identical counts and sums while the store grows underneath it —
-//     the property the query auditor's view depends on (snapshot gate).
+//     the property the query auditor's view depends on (snapshot gate), and
+//
+//  5. a durable copy answers byte-identically after a cold reopen, also
+//     with most segments spilled (persist gate).
 //
 //     benchstore -rows 100000,1000000 -workers 1,2,8 -out BENCH_store.json
 //
-// Both paths run with the answer cache disabled, so every measured query
-// pays full predicate evaluation: the numbers isolate the storage engine,
-// not the cache. Workers sweeps par.SetWorkers, which bounds the per-segment
-// fan-out of both paths. Exits non-zero if any gate fails.
+// Workers sweeps par.SetWorkers, which bounds the per-shard fan-out of both
+// paths. Exits non-zero if any gate fails.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,10 +56,11 @@ type Entry struct {
 	// Workload is "selective" (narrow bands, the index's home turf) or
 	// "broad" (threshold sweeps that match large fractions of the data).
 	Workload string `json:"workload"`
-	// Path is "indexed" (segment indexes + bitmaps), "scan" (the compiled
-	// row-at-a-time baseline, -scan on the serve command), or "batched"
-	// (AskBatch answering the whole workload in one sharded column sweep;
-	// latency percentiles are then per batch call, not per query).
+	// Path is "indexed" (Server.Ask: segment indexes + bitmaps), "scan"
+	// (Snapshot.EvalScan + Sum: the compiled row-at-a-time baseline), or
+	// "batched" (AskBatch answering the whole workload in one sharded
+	// column sweep; latency percentiles are then per batch call, not per
+	// query).
 	Path string `json:"path"`
 	// Queries answered during the timed window (cache disabled: every one
 	// paid full predicate evaluation).
@@ -132,8 +142,9 @@ type Report struct {
 	// not meaningful (e.g. a single-CPU machine).
 	Warning string `json:"warning,omitempty"`
 	// IdenticalAnswers records the identity gate's verdict: for every shape
-	// at every row count, indexed ≡ scan ≡ Query.Evaluate, bit for bit.
-	// Always true — the tool exits non-zero otherwise.
+	// at every row count, indexed ≡ Query.Evaluate bit for bit, and Eval ≡
+	// EvalScan word for word. Always true — the tool exits non-zero
+	// otherwise.
 	IdenticalAnswers bool          `json:"identical_answers"`
 	Entries          []Entry       `json:"entries"`
 	Speedups         []Speedup     `json:"speedups"`
@@ -214,6 +225,26 @@ func numericSpans(d *dataset.Dataset) []span {
 		spans = append(spans, span{a.Name, lo, hi})
 	}
 	return spans
+}
+
+// workload is one class of query shapes, each also lowered to store
+// conditions for the scan baseline.
+type workload struct {
+	name  string
+	qs    []sdcquery.Query
+	conds [][]store.Cond
+}
+
+// newWorkload lowers every query's predicate to store conditions
+// (store.Op is ordinal-compatible with sdcquery.Op).
+func newWorkload(name string, qs []sdcquery.Query) workload {
+	w := workload{name: name, qs: qs, conds: make([][]store.Cond, len(qs))}
+	for k, q := range qs {
+		for _, c := range q.Where {
+			w.conds[k] = append(w.conds[k], store.Cond{Col: c.Col, Op: store.Op(c.Op), V: c.V, S: c.S, Str: c.IsString()})
+		}
+	}
+	return w
 }
 
 // selectiveWorkload builds narrow-band conjunctions — col ∈ [v, v+δ) with δ
@@ -303,31 +334,30 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 			return err
 		}
 		spans := numericSpans(d)
-		workloads := []struct {
-			name string
-			qs   []sdcquery.Query
-		}{
-			{"selective", selectiveWorkload(d, spans, shapes)},
-			{"broad", broadWorkload(d, spans, shapes)},
+		workloads := []workload{
+			newWorkload("selective", selectiveWorkload(d, spans, shapes)),
+			newWorkload("broad", broadWorkload(d, spans, shapes)),
 		}
 
-		// Both servers run cache-disabled so every answer below is a miss.
+		// The server runs cache-disabled so every answer below is a miss.
 		indexed, err := sdcquery.NewServer(d, sdcquery.Config{Protection: sdcquery.NoProtection, AnswerCacheCap: -1})
 		if err != nil {
 			return err
 		}
-		scan, err := sdcquery.NewServer(d, sdcquery.Config{Protection: sdcquery.NoProtection, AnswerCacheCap: -1, ForceScan: true})
+		scanSt, err := store.FromDataset(d, 0)
 		if err != nil {
 			return err
 		}
+		scanSnap := scanSt.Snapshot()
 
-		// Identity gate: indexed ≡ scan ≡ the seed evaluator, bit for bit,
-		// on every shape of both workloads. The selective refs are kept so
-		// the batched gate below can re-check them at every worker count
-		// without re-running the O(rows) seed evaluator.
+		// Identity gate: indexed ≡ the seed evaluator, bit for bit, and the
+		// store's Eval ≡ EvalScan, word for word, on every shape of both
+		// workloads. The selective refs are kept so the batched gate below
+		// can re-check them at every worker count without re-running the
+		// O(rows) seed evaluator.
 		selRefs := make([][3]uint64, 0, shapes)
 		for _, w := range workloads {
-			for _, q := range w.qs {
+			for k, q := range w.qs {
 				want, err := q.Evaluate(d)
 				if err != nil {
 					return fmt.Errorf("rows=%d %s: Evaluate(%q): %w", rows, w.name, q, err)
@@ -336,60 +366,69 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 				if err != nil {
 					return fmt.Errorf("rows=%d %s: indexed Ask(%q): %w", rows, w.name, q, err)
 				}
-				as, err := scan.Ask(q)
-				if err != nil {
-					return fmt.Errorf("rows=%d %s: scan Ask(%q): %w", rows, w.name, q, err)
-				}
 				ref := [3]uint64{math.Float64bits(want), 0, 0}
-				if answerBits(ai) != ref || answerBits(as) != ref {
-					return fmt.Errorf("IDENTITY GATE FAILED: rows=%d %q: indexed %x, scan %x, Evaluate %x",
-						rows, q, answerBits(ai), answerBits(as), ref)
+				if answerBits(ai) != ref {
+					return fmt.Errorf("IDENTITY GATE FAILED: rows=%d %q: indexed %x, Evaluate %x",
+						rows, q, answerBits(ai), ref)
+				}
+				bi, err := scanSnap.Eval(w.conds[k])
+				if err != nil {
+					return fmt.Errorf("rows=%d %s: Eval(%q): %w", rows, w.name, q, err)
+				}
+				bs, err := scanSnap.EvalScan(w.conds[k])
+				if err != nil {
+					return fmt.Errorf("rows=%d %s: EvalScan(%q): %w", rows, w.name, q, err)
+				}
+				if !slices.Equal(bi.Words(), bs.Words()) {
+					return fmt.Errorf("IDENTITY GATE FAILED: rows=%d %q: Eval selects %d rows, EvalScan %d, or different ones",
+						rows, q, bi.Count(), bs.Count())
 				}
 				if w.name == "selective" {
 					selRefs = append(selRefs, ref)
 				}
 			}
 		}
-		log.Printf("rows=%-8d identity OK: %d shapes, indexed ≡ scan ≡ Evaluate", rows, 2*shapes)
+		log.Printf("rows=%-8d identity OK: %d shapes, indexed ≡ Evaluate, Eval ≡ EvalScan", rows, 2*shapes)
 		report.Shards = indexed.Shards()
 		report.BatchWidth = shapes
 
 		// Timed phase: cache-miss QPS and latency percentiles per
 		// (workers, workload, path).
+		sel := workloads[0].qs
 		for _, w := range workers {
 			par.SetWorkers(w)
 			// Batched identity gate at this worker count: one AskBatch must
 			// answer the whole selective set bit-identically to the per-query
-			// refs, on both the sharded and the forced-scan path.
-			for _, p := range []struct {
-				name string
-				srv  *sdcquery.Server
-			}{{"indexed", indexed}, {"scan", scan}} {
-				answers, errs := p.srv.AskBatch("", workloads[0].qs)
-				for i, q := range workloads[0].qs {
-					if errs[i] != nil {
-						return fmt.Errorf("rows=%d workers=%d %s AskBatch(%q): %w", rows, w, p.name, q, errs[i])
-					}
-					if answerBits(answers[i]) != selRefs[i] {
-						return fmt.Errorf("BATCH IDENTITY GATE FAILED: rows=%d workers=%d %s %q: batch %x, per-query %x",
-							rows, w, p.name, q, answerBits(answers[i]), selRefs[i])
-					}
+			// refs.
+			answers, errs := indexed.AskBatch("", sel)
+			for i, q := range sel {
+				if errs[i] != nil {
+					return fmt.Errorf("rows=%d workers=%d AskBatch(%q): %w", rows, w, q, errs[i])
+				}
+				if answerBits(answers[i]) != selRefs[i] {
+					return fmt.Errorf("BATCH IDENTITY GATE FAILED: rows=%d workers=%d %q: batch %x, per-query %x",
+						rows, w, q, answerBits(answers[i]), selRefs[i])
 				}
 			}
 			for _, wl := range workloads {
 				var qps [2]float64
 				for pi, p := range []struct {
 					name string
-					srv  *sdcquery.Server
-				}{{"indexed", indexed}, {"scan", scan}} {
-					e, err := timedPhase(rows, w, wl.name, p.name, p.srv, wl.qs, duration)
+					ask  func(k int) error
+				}{
+					{"indexed", func(k int) error {
+						_, err := indexed.Ask(wl.qs[k])
+						return err
+					}},
+					{"scan", func(k int) error { return scanQuery(scanSnap, wl.qs[k], wl.conds[k]) }},
+				} {
+					e, err := timedPhase(rows, w, wl.name, p.name, len(wl.qs), 1, 8, duration, p.ask)
 					if err != nil {
 						return err
 					}
 					qps[pi] = e.QPS
 					report.Entries = append(report.Entries, *e)
-					log.Printf("rows=%-8d workers=%-2d %-9s %-7s %10.0f q/s  p50 %9s  p99 %9s",
-						rows, w, wl.name, p.name, e.QPS, time.Duration(e.P50Ns), time.Duration(e.P99Ns))
+					logEntry(e)
 				}
 				if wl.name == "selective" {
 					sp := Speedup{
@@ -407,13 +446,15 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 			}
 			// Batched path: the same selective queries, answered one
 			// AskBatch at a time instead of one Ask at a time.
-			e, err := timedBatchPhase(rows, w, indexed, workloads[0].qs, duration)
+			e, err := timedPhase(rows, w, "selective", "batched", 1, len(sel), 1, duration, func(int) error {
+				_, errs := indexed.AskBatch("", sel)
+				return errors.Join(errs...)
+			})
 			if err != nil {
 				return err
 			}
 			report.Entries = append(report.Entries, *e)
-			log.Printf("rows=%-8d workers=%-2d %-9s %-7s %10.0f q/s  p50 %9s  p99 %9s",
-				rows, w, "selective", e.Path, e.QPS, time.Duration(e.P50Ns), time.Duration(e.P99Ns))
+			logEntry(e)
 		}
 
 		// Snapshot gate once, at the smallest row count (the property is
@@ -466,7 +507,7 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	log.Printf("wrote %s (%d entries); every indexed answer byte-identical to the scan path and the seed evaluator", out, len(report.Entries))
+	log.Printf("wrote %s (%d entries); every indexed answer byte-identical to the seed evaluator, every indexed bitmap to the scan's", out, len(report.Entries))
 	return nil
 }
 
@@ -508,66 +549,48 @@ func scalingGate(speedups []Speedup, workers []int, largest int, minScaling floa
 	return sg
 }
 
-// timedPhase drives one server with one workload, round-robin, for at least
-// the duration and at least eight queries, recording every query's latency.
-func timedPhase(rows, workers int, workload, path string, srv *sdcquery.Server, qs []sdcquery.Query, duration time.Duration) (*Entry, error) {
+// timedPhase calls ask round-robin over the n workload slots for at least
+// the duration and at least minCalls calls, recording each call's latency.
+// Each call answers perCall queries: QPS counts queries, the latency
+// percentiles are per call.
+func timedPhase(rows, workers int, workload, path string, n, perCall, minCalls int, duration time.Duration, ask func(k int) error) (*Entry, error) {
 	var lat []int64
-	var n int64
 	start := time.Now()
-	for time.Since(start) < duration || n < 8 {
-		q := qs[int(n)%len(qs)]
+	for calls := 0; time.Since(start) < duration || calls < minCalls; calls++ {
 		t0 := time.Now()
-		if _, err := srv.Ask(q); err != nil {
-			return nil, fmt.Errorf("rows=%d %s/%s: Ask(%q): %w", rows, workload, path, q, err)
+		if err := ask(calls % n); err != nil {
+			return nil, fmt.Errorf("rows=%d %s/%s: %w", rows, workload, path, err)
 		}
 		lat = append(lat, time.Since(t0).Nanoseconds())
-		n++
 	}
 	elapsed := time.Since(start)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 {
-		if len(lat) == 0 {
-			return 0
-		}
-		return lat[int(p*float64(len(lat)-1))]
-	}
+	slices.Sort(lat)
+	pct := func(p float64) int64 { return lat[int(p*float64(len(lat)-1))] }
+	queries := int64(len(lat) * perCall)
 	return &Entry{
 		Rows: rows, Workers: workers, Workload: workload, Path: path,
-		Queries: n, DurationNs: elapsed.Nanoseconds(),
-		QPS:   float64(n) / elapsed.Seconds(),
+		Queries: queries, DurationNs: elapsed.Nanoseconds(),
+		QPS:   float64(queries) / elapsed.Seconds(),
 		P50Ns: pct(0.50), P99Ns: pct(0.99),
 	}, nil
 }
 
-// timedBatchPhase drives one server with whole-workload AskBatch calls for
-// at least the duration and at least one batch. QPS counts queries; the
-// latency percentiles are per batch call.
-func timedBatchPhase(rows, workers int, srv *sdcquery.Server, qs []sdcquery.Query, duration time.Duration) (*Entry, error) {
-	var lat []int64
-	var n int64
-	start := time.Now()
-	for time.Since(start) < duration || n == 0 {
-		t0 := time.Now()
-		_, errs := srv.AskBatch("", qs)
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("rows=%d batched: AskBatch(%q): %w", rows, qs[i], err)
-			}
-		}
-		lat = append(lat, time.Since(t0).Nanoseconds())
-		n += int64(len(qs))
+func logEntry(e *Entry) {
+	log.Printf("rows=%-8d workers=%-2d %-9s %-7s %10.0f q/s  p50 %9s  p99 %9s",
+		e.Rows, e.Workers, e.Workload, e.Path, e.QPS, time.Duration(e.P50Ns), time.Duration(e.P99Ns))
+}
+
+// scanQuery is the scan side of the speedup gate: the compiled row sweep
+// and the aggregate's column sweep, called directly on the store.
+func scanQuery(snap *store.Snapshot, q sdcquery.Query, conds []store.Cond) error {
+	bm, err := snap.EvalScan(conds)
+	if err != nil {
+		return fmt.Errorf("EvalScan(%q): %w", q, err)
 	}
-	elapsed := time.Since(start)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 {
-		return lat[int(p*float64(len(lat)-1))]
+	if q.Agg != sdcquery.Count {
+		snap.Sum(bm, snap.Index(q.Attr))
 	}
-	return &Entry{
-		Rows: rows, Workers: workers, Workload: "selective", Path: "batched",
-		Queries: n, DurationNs: elapsed.Nanoseconds(),
-		QPS:   float64(n) / elapsed.Seconds(),
-		P50Ns: pct(0.50), P99Ns: pct(0.99),
-	}, nil
+	return nil
 }
 
 // snapshotGate pins a snapshot, then keeps re-evaluating a predicate and a

@@ -124,7 +124,7 @@ func TestServeFlagsGolden(t *testing.T) {
 	}
 	// The sustained-load knobs must stay registered under their documented
 	// names — the README and DESIGN serving chapters reference them.
-	for _, name := range []string{"querylogcap", "cachecap", "ratelimit", "burst", "shards", "batchmax"} {
+	for _, name := range []string{"querylogcap", "cachecap", "ratelimit", "burst", "batchmax"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("serve is missing the documented -%s flag", name)
 		}

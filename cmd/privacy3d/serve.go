@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -57,8 +58,6 @@ type serveOpts struct {
 	reqTimeout, grace                     *time.Duration
 	workers                               *int
 	segment                               *int
-	scan                                  *bool
-	shards                                *int
 	batchMax                              *int
 	datadir                               *string
 	memcap                                *int64
@@ -88,10 +87,6 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	o.workers = workersFlag(fs)
 	o.segment = fs.Int("segment", 0,
 		"columnar store rows per sealed segment, a multiple of 64 in [64, 65536] (0 uses the default, 8192)")
-	o.scan = fs.Bool("scan", false,
-		"answer predicates by the compiled row scan instead of the segment indexes (A/B baseline; answers are byte-identical)")
-	o.shards = fs.Int("shards", 0,
-		"segment shards evaluated in parallel per query (0 uses the default, 16; answers are byte-identical at any count)")
 	o.batchMax = fs.Int("batchmax", 0,
 		"queries accepted per POST /querybatch request (0 uses the default, 256; negative disables the endpoint)")
 	o.datadir = fs.String("datadir", "",
@@ -106,9 +101,6 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 // half-built store directory. It returns whether datadir already holds a
 // store (the recovery path).
 func validateServeStorage(o *serveOpts) (recover bool, err error) {
-	if *o.shards < 0 {
-		return false, fmt.Errorf("serve: -shards must be >= 0, got %d", *o.shards)
-	}
 	if *o.memcap < 0 {
 		return false, fmt.Errorf("serve: -memcap must be >= 0, got %d", *o.memcap)
 	}
@@ -152,7 +144,7 @@ func cmdServe(args []string) error {
 	in, schema, protect, ownerToken, addr := o.in, o.schema, o.protect, o.ownerToken, o.addr
 	minSize, epsilon, delta, budget, seed := o.minSize, o.epsilon, o.delta, o.budget, o.seed
 	logCap, cacheCap, rateLimit, rateBurst := o.logCap, o.cacheCap, o.rateLimit, o.rateBurst
-	reqTimeout, grace, workers := o.reqTimeout, o.grace, o.workers
+	grace, workers := o.grace, o.workers
 	if err := applyWorkers(*workers); err != nil {
 		return err
 	}
@@ -167,9 +159,7 @@ func cmdServe(args []string) error {
 	cfg := sdcquery.Config{
 		Protection: prot, MinSetSize: *minSize, Seed: *seed,
 		Epsilon: *epsilon, Delta: *delta, EpsilonBudget: *budget,
-		AnswerCacheCap: *cacheCap,
-		SegmentSize:    *o.segment, ForceScan: *o.scan,
-		Shards: *o.shards,
+		AnswerCacheCap: *cacheCap, SegmentSize: *o.segment,
 	}
 	if *logCap < 0 {
 		cfg.UnboundedQueryLog = true
@@ -178,9 +168,7 @@ func cmdServe(args []string) error {
 	}
 	var srv *sdcquery.Server
 	if recovery {
-		st, err := store.Open(*o.datadir, store.Options{
-			SegmentSize: *o.segment, Shards: *o.shards, MemCap: *o.memcap,
-		})
+		st, err := store.Open(*o.datadir, store.Options{SegmentSize: *o.segment, MemCap: *o.memcap})
 		if err != nil {
 			return fmt.Errorf("serve: recover %s: %w", *o.datadir, err)
 		}
@@ -215,16 +203,7 @@ func cmdServe(args []string) error {
 	// Route per-method masking metrics (sdc_apply_total, sdc_apply_seconds)
 	// from the /protect endpoint into this registry.
 	sdc.Instrument(reg)
-	handler := obs.Chain(sdcquery.NewHandler(srv, sdcquery.HandlerConfig{
-		Registry: reg, OwnerToken: *ownerToken,
-		RateLimit: *rateLimit, RateBurst: *rateBurst,
-		BatchMax: *o.batchMax,
-	}),
-		obs.Logging(logger),
-		obs.Instrument(reg, "/query", "/sql", "/protect", "/log", "/metrics"),
-		obs.Recover(reg, logger),
-		obs.Timeout(*reqTimeout),
-	)
+	handler := serveHandler(srv, o, reg, logger)
 	logger.Printf("serving %d records with %s protection on %s", srv.Rows(), prot, *addr)
 	if *o.datadir != "" {
 		mode := "created"
@@ -248,6 +227,23 @@ func cmdServe(args []string) error {
 	}
 	logger.Printf("request and denial-rate counters at GET /metrics")
 	return obs.Run(obs.NewServer(*addr, handler), logger, *grace)
+}
+
+// serveHandler wraps the HTTP API in the serve command's middleware chain.
+// Instrument names every route sdcquery.NewHandler mounts, so each gets
+// its own http_requests_total and http_request_seconds series; any other
+// path is counted as endpoint="other".
+func serveHandler(srv *sdcquery.Server, o *serveOpts, reg *obs.Registry, logger *log.Logger) http.Handler {
+	return obs.Chain(sdcquery.NewHandler(srv, sdcquery.HandlerConfig{
+		Registry: reg, OwnerToken: *o.ownerToken,
+		RateLimit: *o.rateLimit, RateBurst: *o.rateBurst,
+		BatchMax: *o.batchMax,
+	}),
+		obs.Logging(logger),
+		obs.Instrument(reg, "/query", "/querybatch", "/sql", "/protect", "/log", "/metrics"),
+		obs.Recover(reg, logger),
+		obs.Timeout(*o.reqTimeout),
+	)
 }
 
 // cmdAttack demonstrates the Schlörer tracker against a protected server.

@@ -2,12 +2,18 @@ package main
 
 import (
 	"flag"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"privacy3d/internal/dataset"
+	"privacy3d/internal/obs"
+	"privacy3d/internal/sdcquery"
 	"privacy3d/internal/store"
 )
 
@@ -31,7 +37,6 @@ func TestValidateServeStorageRejectsBadFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-shards", "-1"}, "-shards"},
 		{[]string{"-memcap", "-5"}, "-memcap"},
 		{[]string{"-memcap", "1024"}, "-datadir"}, // memcap without a disk tier
 	}
@@ -83,5 +88,44 @@ func TestValidateServeStorageDetectsRecovery(t *testing.T) {
 	o = serveOptsFor(t, "-datadir", dir, "-in", "other.csv")
 	if _, err := validateServeStorage(o); err == nil || !strings.Contains(err.Error(), "-in") {
 		t.Fatalf("recovery with -in accepted: %v", err)
+	}
+}
+
+// TestServeHandlerInstrumentsEveryRoute pins that every route
+// sdcquery.NewHandler mounts gets its own http_requests_total and
+// http_request_seconds series through the serve command's middleware
+// chain, and only unmounted paths fall into endpoint="other".
+func TestServeHandlerInstrumentsEveryRoute(t *testing.T) {
+	srv, err := sdcquery.NewServer(dataset.Dataset2(), sdcquery.Config{Protection: sdcquery.NoProtection})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	h := serveHandler(srv, serveOptsFor(t, "-ownertoken", "tok"), reg, log.New(io.Discard, "", 0))
+	serve := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	routes := []string{"/query", "/querybatch", "/sql", "/protect", "/log", "/metrics"}
+	for _, path := range routes {
+		if code := serve(path); code == http.StatusNotFound {
+			t.Fatalf("GET %s = 404: not a mounted route", path)
+		}
+	}
+	if code := serve("/nope"); code != http.StatusNotFound {
+		t.Fatalf("GET /nope = %d, want 404", code)
+	}
+	var exposition strings.Builder
+	if _, err := reg.WriteTo(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	for _, endpoint := range append(routes, "other") {
+		if got := reg.Counter(obs.Label("http_requests_total", "endpoint", endpoint)).Value(); got != 1 {
+			t.Errorf("http_requests_total{endpoint=%q} = %d, want 1", endpoint, got)
+		}
+		if series := obs.Label("http_request_seconds_count", "endpoint", endpoint); !strings.Contains(exposition.String(), series+" 1\n") {
+			t.Errorf("exposition lacks %s 1", series)
+		}
 	}
 }

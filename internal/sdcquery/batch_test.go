@@ -44,7 +44,11 @@ func sameAnswer(a, b Answer) bool {
 // AskBatch against one server produces byte-identical answers to a serial
 // AskAs loop against an identically configured twin — including the
 // stateful protections, whose history must advance in batch order, and
-// differential privacy, whose ε accounting must debit identically.
+// differential privacy, whose ε accounting must debit identically. The
+// batch is then submitted a second time on both servers, so every
+// cacheable query is a cache hit after ε has moved: the hits must still
+// match the serial loop byte for byte, EpsilonRemaining included, and
+// debit nothing.
 func TestAskBatchMatchesAskAs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -58,8 +62,7 @@ func TestAskBatchMatchesAskAs(t *testing.T) {
 		{"overlap", Config{Protection: OverlapRestriction}},
 		{"sample", Config{Protection: RandomSample, Seed: 7}},
 		{"dp", Config{Protection: DifferentialPrivacy, Seed: 7, Epsilon: 0.5, EpsilonBudget: 100}},
-		{"scan", Config{Protection: NoProtection, ForceScan: true}},
-		{"sharded3", Config{Protection: NoProtection, Shards: 3, SegmentSize: 64}},
+		{"segment64", Config{Protection: NoProtection, SegmentSize: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := dataset.SyntheticTrial(dataset.TrialConfig{N: 500, Seed: 11})
@@ -76,37 +79,53 @@ func TestAskBatchMatchesAskAs(t *testing.T) {
 				principal = "alice"
 			}
 			qs := batchTestQueries()
-			want := make([]Answer, len(qs))
-			wantErr := make([]error, len(qs))
-			for i, q := range qs {
-				want[i], wantErr[i] = serial.AskAs(principal, q)
-			}
-			got, errs := batched.AskBatch(principal, qs)
-			for i := range qs {
-				if (errs[i] == nil) != (wantErr[i] == nil) {
-					t.Fatalf("query %d: batch err %v, serial err %v", i, errs[i], wantErr[i])
+			var afterFirst float64 // ε remaining after the first round
+			for round := 1; round <= 2; round++ {
+				want := make([]Answer, len(qs))
+				wantErr := make([]error, len(qs))
+				for i, q := range qs {
+					want[i], wantErr[i] = serial.AskAs(principal, q)
 				}
-				if errs[i] != nil {
-					if errs[i].Error() != wantErr[i].Error() {
-						t.Fatalf("query %d: batch err %q, serial err %q", i, errs[i], wantErr[i])
+				got, errs := batched.AskBatch(principal, qs)
+				for i := range qs {
+					if (errs[i] == nil) != (wantErr[i] == nil) {
+						t.Fatalf("round %d query %d: batch err %v, serial err %v", round, i, errs[i], wantErr[i])
 					}
-					continue
+					if errs[i] != nil {
+						if errs[i].Error() != wantErr[i].Error() {
+							t.Fatalf("round %d query %d: batch err %q, serial err %q", round, i, errs[i], wantErr[i])
+						}
+						continue
+					}
+					if !sameAnswer(got[i], want[i]) {
+						t.Fatalf("round %d query %d: batch answer %+v, serial answer %+v", round, i, got[i], want[i])
+					}
 				}
-				if !sameAnswer(got[i], want[i]) {
-					t.Fatalf("query %d: batch answer %+v, serial answer %+v", i, got[i], want[i])
+				if got := batched.LogDepth(); got != round*len(qs) {
+					t.Fatalf("round %d: batch logged %d queries, want %d", round, got, round*len(qs))
 				}
-			}
-			if got := batched.LogDepth(); got != len(qs) {
-				t.Fatalf("batch logged %d queries, want %d", got, len(qs))
-			}
-			if batches, queries := batched.BatchStats(); batches != 1 || queries != int64(len(qs)) {
-				t.Fatalf("BatchStats = (%d, %d), want (1, %d)", batches, queries, len(qs))
-			}
-			if tc.cfg.Protection == DifferentialPrivacy {
-				sr, _ := serial.BudgetRemaining(principal)
-				br, _ := batched.BudgetRemaining(principal)
-				if math.Float64bits(sr) != math.Float64bits(br) {
-					t.Fatalf("batch debited to %g, serial to %g", br, sr)
+				if batches, queries := batched.BatchStats(); batches != int64(round) || queries != int64(round*len(qs)) {
+					t.Fatalf("round %d: BatchStats = (%d, %d), want (%d, %d)", round, batches, queries, round, round*len(qs))
+				}
+				// The pre-sweep probe counts nothing: hits and misses are
+				// counted once each, by askOne, exactly as the serial loop
+				// counts them.
+				sh, sm, _, _ := serial.CacheStats()
+				bh, bm, _, _ := batched.CacheStats()
+				if bh != sh || bm != sm {
+					t.Fatalf("round %d: batch cache hits/misses %d/%d, serial %d/%d", round, bh, bm, sh, sm)
+				}
+				if tc.cfg.Protection == DifferentialPrivacy {
+					sr, _ := serial.BudgetRemaining(principal)
+					br, _ := batched.BudgetRemaining(principal)
+					if math.Float64bits(sr) != math.Float64bits(br) {
+						t.Fatalf("round %d: batch debited to %g, serial to %g", round, br, sr)
+					}
+					if round == 1 {
+						afterFirst = br
+					} else if br != afterFirst {
+						t.Fatalf("round 2 of cached hits debited ε: remaining %g, was %g", br, afterFirst)
+					}
 				}
 			}
 		})

@@ -70,6 +70,16 @@ func (c *answerCache) get(key string) (Answer, bool) {
 	return a, ok
 }
 
+// has reports whether key is cached without counting a hit or miss: a
+// probe that only decides whether to evaluate ahead of the counted get.
+func (c *answerCache) has(key string) bool {
+	s := c.shard(key)
+	s.mu.Lock()
+	_, ok := s.m[key]
+	s.mu.Unlock()
+	return ok
+}
+
 // put stores the answer under key, evicting the shard's oldest entry when
 // full. Re-storing an existing key refreshes the value without growing the
 // shard.

@@ -360,8 +360,8 @@ func finishAgg(agg Agg, count int, sum float64) (float64, error) {
 // compiled sweep: the predicate is compiled once, and count and sum
 // accumulate together row by row. The seed ran two passes — QuerySet
 // building an index slice, then a re-walk summing it — with the predicate
-// re-resolving columns per row; library callers and the server's scan
-// fallback now share this single evaluator.
+// re-resolving columns per row. It is also the reference the server's
+// indexed answers must match byte for byte.
 func (q Query) Evaluate(d *dataset.Dataset) (float64, error) {
 	cp, err := q.Where.Compile(d.Attrs())
 	if err != nil {

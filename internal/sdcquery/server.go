@@ -266,16 +266,6 @@ type Config struct {
 	// of 64 in [64, store.MaxSegmentSize]). Smaller segments seal — and therefore index —
 	// ingested rows sooner at the cost of more per-segment overhead.
 	SegmentSize int
-	// ForceScan answers predicates by the compiled row-at-a-time scan
-	// instead of the segment indexes. Answers are byte-identical either
-	// way (cmd/benchstore gates on it); the switch exists for A/B
-	// benchmarking and as an escape hatch.
-	ForceScan bool
-	// Shards is the number of goroutine-owned segment shards queries
-	// scatter across in the columnar store (default store.DefaultShards).
-	// Answers are byte-identical at any shard count; the knob trades
-	// scheduling granularity against per-shard locality.
-	Shards int
 	// DataDir makes the backing store durable: sealed segments spill to
 	// checksummed files under this directory behind a manifest, so the
 	// served data survives restarts (store.Open + NewServerFromStore
@@ -311,13 +301,9 @@ type Config struct {
 type Server struct {
 	// st is the columnar segment store the server answers from; every
 	// query pins one store.Snapshot, so concurrent Ingest never changes
-	// an in-flight answer's (or audit's) view of the data. d retains the
-	// construction-time dataset only so Dataset() can hand it back
-	// without materializing while nothing has been ingested.
-	st          *store.Store
-	d           *dataset.Dataset
-	baseVersion uint64
-	cfg         Config
+	// an in-flight answer's (or audit's) view of the data.
+	st  *store.Store
+	cfg Config
 
 	// Query log: the bounded ring is the default; the unbounded slice
 	// (logMu-guarded) is the explicit evaluator opt-in.
@@ -350,10 +336,11 @@ type Server struct {
 	batchQueries atomic.Int64
 }
 
-// NewServer wraps a dataset in a protected query interface. With
-// cfg.DataDir set, the backing columnar store is created durable in that
-// directory (which must not already contain a store — recover an existing
-// one with store.Open + NewServerFromStore instead).
+// NewServer wraps a dataset in a protected query interface. The rows are
+// copied into the backing columnar store; d is not retained. With
+// cfg.DataDir set, that store is created durable in the directory (which
+// must not already contain a store — recover an existing one with
+// store.Open + NewServerFromStore instead).
 func NewServer(d *dataset.Dataset, cfg Config) (*Server, error) {
 	if d == nil || d.Rows() == 0 {
 		return nil, fmt.Errorf("sdcquery: server needs a non-empty dataset")
@@ -365,11 +352,10 @@ func NewServer(d *dataset.Dataset, cfg Config) (*Server, error) {
 	if cfg.DataDir != "" {
 		st, err = store.CreateFromDataset(cfg.DataDir, d, store.Options{
 			SegmentSize: cfg.SegmentSize,
-			Shards:      cfg.Shards,
 			MemCap:      cfg.MemCap,
 		})
 	} else {
-		st, err = store.FromDatasetSharded(d, cfg.SegmentSize, cfg.Shards)
+		st, err = store.FromDataset(d, cfg.SegmentSize)
 	}
 	if err != nil {
 		return nil, err
@@ -381,9 +367,6 @@ func NewServer(d *dataset.Dataset, cfg Config) (*Server, error) {
 		}
 		return nil, err
 	}
-	// Retain the construction-time dataset so Dataset() can hand it back
-	// without materializing while nothing has been ingested.
-	s.d = d
 	return s, nil
 }
 
@@ -445,11 +428,10 @@ func NewServerFromStore(st *store.Store, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		st:          st,
-		baseVersion: st.Version(),
-		cfg:         cfg,
-		audn:        newAuditor(),
-		overlap:     oc,
+		st:      st,
+		cfg:     cfg,
+		audn:    newAuditor(),
+		overlap: oc,
 	}
 	if !cfg.UnboundedQueryLog {
 		s.logRing = par.NewRing[Query](cfg.QueryLogCap)
@@ -574,18 +556,10 @@ func (s *Server) BatchStats() (batches, queries int64) {
 }
 
 // Dataset exposes the served microdata — the owner-side handle the
-// /protect endpoint masks releases from. It pins the current snapshot:
-// while nothing has been ingested this is the construction-time dataset
-// itself; afterwards it is a fresh materialization of the pinned version,
-// so a masking run is never affected by ingest that lands mid-release.
-// The returned dataset must be treated as read-only.
-func (s *Server) Dataset() *dataset.Dataset {
-	snap := s.st.Snapshot()
-	if s.d != nil && snap.Version() == s.baseVersion {
-		return s.d
-	}
-	return snap.Materialize()
-}
+// /protect endpoint masks releases from: a fresh materialization of the
+// current snapshot, so a masking run is never affected by ingest that lands
+// mid-release.
+func (s *Server) Dataset() *dataset.Dataset { return s.st.Snapshot().Materialize() }
 
 // Ingest appends one record to the served microdata (same value contract
 // as dataset.Append). In-flight queries, audits and releases pinned an
@@ -635,8 +609,9 @@ func (s *Server) AskAs(principal string, q Query) (Answer, error) {
 
 // askOne is the post-log tail shared by AskAs and AskBatch: cache probe,
 // protection dispatch, cache fill. bm, when non-nil, is the query set
-// already evaluated against snap (AskBatch precomputes it in one sharded
-// sweep); a nil bm evaluates inside the protection path exactly as before.
+// already evaluated against snap (AskBatch precomputes its misses in one
+// sharded sweep); with a nil bm a cache miss evaluates inside the
+// protection path.
 func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key string, cacheable bool, bm *store.Bitmap) (Answer, error) {
 	if cacheable && s.cfg.Protection == DifferentialPrivacy {
 		// Under DP the cache IS the accounting dedup, so two concurrent
@@ -674,11 +649,12 @@ func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key str
 // sets of every answer-cache miss are evaluated together in one sharded
 // column sweep (store.Snapshot.EvalBatch) — each segment's columns and
 // indexes are loaded once and tested against every missed predicate — and
-// the per-query protection logic then runs in order on the precomputed
-// bitmaps. Each answer is byte-identical to what the equivalent serial
-// AskAs loop would have produced: the stateful protections (auditing,
-// overlap restriction) commit their state per answer in batch order, and
-// the noise/cache keys depend only on (version, principal, query).
+// every query, hit or miss, is then answered in order by the same askOne
+// the serial path runs. Each answer is byte-identical to what the
+// equivalent serial AskAs loop would have produced: the stateful
+// protections (auditing, overlap restriction) commit their state per answer
+// in batch order, and the noise/cache keys depend only on (version,
+// principal, query).
 //
 // errs[i] reports the i'th query's failure; one malformed query never
 // sinks the rest of the batch.
@@ -703,31 +679,20 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 		}
 		return answers, errs
 	}
+	// Evaluate every miss in one sharded sweep. The cache probe only picks
+	// which queries skip the sweep: askOne re-checks the cache (under DP
+	// beneath the flight stripe), so a racing eviction costs at worst one
+	// single-query evaluation, never a double ε debit. Queries that fail
+	// predicate compilation get their error now and are excluded —
+	// EvalBatch fails whole batches, so it only ever sees pre-validated
+	// conjunctions.
 	keys := make([]string, len(qs))
 	cacheable := make([]bool, len(qs))
-	hit := make([]bool, len(qs))
-	hitA := make([]Answer, len(qs))
-	for i, q := range qs {
-		keys[i], cacheable[i] = s.cacheKey(principal, snap.Version(), q)
-		if !cacheable[i] {
-			continue
-		}
-		// For the stateless protections this probe is authoritative (cached
-		// answers are immutable pure functions of the key). Under DP it is
-		// only a skip-the-eval hint: the authoritative re-check runs under
-		// the flight stripe in askOne, so a racing eviction costs at worst
-		// one single-query evaluation, never a double ε debit.
-		if a, ok := s.cache.get(keys[i]); ok {
-			hit[i], hitA[i] = true, a
-		}
-	}
-	// Evaluate every miss in one sharded sweep. Queries that fail predicate
-	// compilation get their error now and are excluded — EvalBatch itself
-	// fails whole batches, so it only ever sees pre-validated conjunctions.
 	missIdx := make([]int, 0, len(qs))
 	batch := make([][]store.Cond, 0, len(qs))
 	for i, q := range qs {
-		if hit[i] {
+		keys[i], cacheable[i] = s.cacheKey(principal, snap.Version(), q)
+		if cacheable[i] && s.cache.has(keys[i]) {
 			continue
 		}
 		conds, err := s.storeConds(snap, q.Where)
@@ -738,30 +703,17 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 		missIdx = append(missIdx, i)
 		batch = append(batch, conds)
 	}
-	bms := make(map[int]*store.Bitmap, len(missIdx))
+	bms := make([]*store.Bitmap, len(qs))
 	if len(batch) > 0 {
-		var evaled []*store.Bitmap
-		var err error
-		if s.cfg.ForceScan {
-			evaled = make([]*store.Bitmap, len(batch))
-			for k, conds := range batch {
-				if evaled[k], err = snap.EvalScan(conds); err != nil {
-					break
-				}
-			}
-		} else {
-			evaled, err = snap.EvalBatch(batch)
-		}
-		if err != nil {
-			// The conjunctions are pre-compiled, so this is an unreadable
-			// segment (store.ErrUnreadable): every missed query read it,
-			// so each fails with that error. The cache hits read nothing
-			// and are still answered below.
-			for _, i := range missIdx {
+		evaled, err := snap.EvalBatch(batch)
+		for k, i := range missIdx {
+			if err != nil {
+				// The conjunctions are pre-compiled, so this is an
+				// unreadable segment (store.ErrUnreadable): every missed
+				// query read it, so each fails with that error. The cache
+				// hits read nothing and are still answered below.
 				errs[i] = err
-			}
-		} else {
-			for k, i := range missIdx {
+			} else {
 				bms[i] = evaled[k]
 			}
 		}
@@ -769,18 +721,9 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 	// Answer in submission order so the stateful protections mutate their
 	// history exactly like the equivalent serial AskAs loop.
 	for i, q := range qs {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], cacheable[i], bms[i])
 		}
-		if hit[i] {
-			a := hitA[i]
-			if a.Budgeted {
-				a.EpsilonRemaining = s.ledger.Remaining(principal, s.cfg.DatasetID)
-			}
-			answers[i] = a
-			continue
-		}
-		answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], cacheable[i], bms[i])
 	}
 	return answers, errs
 }
@@ -893,16 +836,12 @@ func (s *Server) storeConds(snap *store.Snapshot, p Predicate) ([]store.Cond, er
 	return conds, nil
 }
 
-// eval answers the predicate over the snapshot as a row bitmap — via the
-// sharded segment indexes by default, via the compiled scan under
-// Config.ForceScan.
+// eval answers the predicate over the snapshot as a row bitmap through
+// the sharded segment indexes.
 func (s *Server) eval(snap *store.Snapshot, p Predicate) (*store.Bitmap, error) {
 	conds, err := s.storeConds(snap, p)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.ForceScan {
-		return snap.EvalScan(conds)
 	}
 	return snap.Eval(conds)
 }

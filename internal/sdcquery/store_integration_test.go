@@ -1,11 +1,19 @@
 package sdcquery
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"privacy3d/internal/dataset"
+	"privacy3d/internal/sdc"
 )
 
 // mixedDataset builds a schema with a categorical column that genuinely
@@ -109,8 +117,7 @@ func TestCompileKindMismatch(t *testing.T) {
 // TestServerMatchesEvaluate pins the shared-evaluator satellite across the
 // storage rewire: for every aggregate the unprotected server answer —
 // computed via segment indexes and bitmap-driven sweeps — is byte-identical
-// to Query.Evaluate's compiled scan, on both the indexed and ForceScan
-// configurations and across segment boundaries.
+// to Query.Evaluate's compiled scan.
 func TestServerMatchesEvaluate(t *testing.T) {
 	d := mixedDataset()
 	queries := []Query{
@@ -119,24 +126,22 @@ func TestServerMatchesEvaluate(t *testing.T) {
 		{Agg: Avg, Attr: "v", Where: Predicate{{Col: "tag", Op: Eq, S: "", Str: true}}},
 		{Agg: Sum, Attr: "v", Where: Predicate{}},
 	}
-	for _, forceScan := range []bool{false, true} {
-		srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64, ForceScan: forceScan})
+	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		want, err := q.Evaluate(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range queries {
-			want, err := q.Evaluate(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := srv.Ask(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a.Value) != math.Float64bits(want) {
-				t.Errorf("forceScan=%v: server %s = %x, Evaluate = %x (byte identity)",
-					forceScan, q, math.Float64bits(a.Value), math.Float64bits(want))
-			}
+		a, err := srv.Ask(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a.Value) != math.Float64bits(want) {
+			t.Errorf("server %s = %x, Evaluate = %x (byte identity)",
+				q, math.Float64bits(a.Value), math.Float64bits(want))
 		}
 	}
 }
@@ -144,7 +149,7 @@ func TestServerMatchesEvaluate(t *testing.T) {
 // TestServerIngest pins the growing-database semantics: ingested rows are
 // visible to the next query (the versioned cache key prevents stale hits),
 // Rows/Version advance, and Dataset() materializes the grown view while
-// the pre-ingest handle stays untouched.
+// the construction dataset stays untouched.
 func TestServerIngest(t *testing.T) {
 	d := mixedDataset()
 	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
@@ -159,9 +164,7 @@ func TestServerIngest(t *testing.T) {
 	if a.Value != 8 {
 		t.Fatalf("pre-ingest COUNT = %g, want 8", a.Value)
 	}
-	if srv.Dataset() != d {
-		t.Fatal("pre-ingest Dataset() should hand back the construction dataset")
-	}
+	sameDataset(t, srv.Dataset(), d)
 	v0 := srv.Version()
 	for i := 0; i < 100; i++ {
 		if err := srv.Ingest(float64(i), "new", float64(i)); err != nil {
@@ -181,9 +184,6 @@ func TestServerIngest(t *testing.T) {
 		t.Fatalf("post-ingest COUNT = %g, want 108 (stale cached answer?)", a.Value)
 	}
 	got := srv.Dataset()
-	if got == d {
-		t.Fatal("post-ingest Dataset() returned the stale construction handle")
-	}
 	if got.Rows() != 108 || d.Rows() != 8 {
 		t.Fatalf("materialized rows=%d, original rows=%d; want 108/8", got.Rows(), d.Rows())
 	}
@@ -269,18 +269,16 @@ func TestZeroValueCondCompat(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("QuerySet matched %d rows, want the 3 empty-tag rows", len(rows))
 	}
-	for _, forceScan := range []bool{false, true} {
-		srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64, ForceScan: forceScan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := srv.Ask(Query{Agg: Count, Where: zero})
-		if err != nil {
-			t.Fatalf("forceScan=%v: %v", forceScan, err)
-		}
-		if a.Value != 3 {
-			t.Errorf("forceScan=%v: COUNT = %g, want 3", forceScan, a.Value)
-		}
+	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := srv.Ask(Query{Agg: Count, Where: zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Value != 3 {
+		t.Errorf("COUNT = %g, want 3", a.Value)
 	}
 	// Ne complement and the surviving error case.
 	if rows, err = (Predicate{{Col: "tag", Op: Ne}}).QuerySet(d); err != nil || len(rows) != 5 {
@@ -324,5 +322,115 @@ func TestAuditedConsistentUnderIngest(t *testing.T) {
 	a, err = srv.Ask(Query{Agg: Sum, Attr: "v", Where: Predicate{{Col: "x", Op: Ge, V: 0}}})
 	if err != nil || a.Denied {
 		t.Fatalf("broad audited sum after ingest: %+v, %v", a, err)
+	}
+}
+
+// sameDataset fails unless got has want's schema — names, roles, kinds and
+// ordinal categories — and bit-identical values: floats compare through
+// math.Float64bits, so the sign of −0 and NaN payloads count, which
+// dataset.EqualValues ignores.
+func sameDataset(t *testing.T, got, want *dataset.Dataset) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Attrs(), want.Attrs()) {
+		t.Fatalf("Attrs() = %+v, want %+v", got.Attrs(), want.Attrs())
+	}
+	if got.Rows() != want.Rows() {
+		t.Fatalf("Rows() = %d, want %d", got.Rows(), want.Rows())
+	}
+	for j, a := range want.Attrs() {
+		for i := 0; i < want.Rows(); i++ {
+			if a.Kind == dataset.Numeric {
+				if g, w := math.Float64bits(got.Float(i, j)), math.Float64bits(want.Float(i, j)); g != w {
+					t.Fatalf("row %d %s = %#x, want %#x", i, a.Name, g, w)
+				}
+			} else if g, w := got.Cat(i, j), want.Cat(i, j); g != w {
+				t.Fatalf("row %d %s = %q, want %q", i, a.Name, g, w)
+			}
+		}
+	}
+}
+
+// edgeDataset is 3 segments of 64 rows plus a 17-row tail, with NaN
+// payloads, ±0 and ±Inf in a confidential column, empty strings in a
+// nominal one, an ordinal column with a fixed category order, and an
+// identifier column /protect must strip.
+func edgeDataset() *dataset.Dataset {
+	d := dataset.New(
+		dataset.Attribute{Name: "id", Role: dataset.Identifier, Kind: dataset.Nominal},
+		dataset.Attribute{Name: "age", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
+		dataset.Attribute{Name: "edu", Role: dataset.NonConfidential, Kind: dataset.Ordinal, Categories: []string{"low", "mid", "high"}},
+		dataset.Attribute{Name: "tag", Role: dataset.NonConfidential, Kind: dataset.Nominal},
+		dataset.Attribute{Name: "x", Role: dataset.Confidential, Kind: dataset.Numeric},
+	)
+	odd := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	}
+	for i := 0; i < 3*64+17; i++ {
+		x := float64(i%23) * 1.5
+		if i%5 == 0 {
+			x = odd[(i/5)%len(odd)]
+		}
+		d.MustAppend(fmt.Sprintf("p%03d", i), float64(20+i%47), []string{"low", "mid", "high"}[i%3],
+			[]string{"", "a", "", "b"}[i%4], x)
+	}
+	return d
+}
+
+// TestServerDatasetMatchesConstruction pins Dataset() without a retained
+// copy of the construction dataset: the materialized snapshot has the
+// construction schema and bit-identical values, memory-only and durable
+// with spilled segments, and POST /protect releases exactly the bytes
+// sdc.ApplySeed produces over the identifier-free construction dataset.
+func TestServerDatasetMatchesConstruction(t *testing.T) {
+	d := edgeDataset()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"memory", Config{Protection: NoProtection, SegmentSize: 64}},
+		{"spilled", Config{Protection: NoProtection, SegmentSize: 64, DataDir: t.TempDir(), MemCap: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(d, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if tc.cfg.MemCap > 0 && srv.st.TierStats().Spilled == 0 {
+				t.Fatal("no segment spilled under the memory cap")
+			}
+			sameDataset(t, srv.Dataset(), d)
+
+			h := httptest.NewServer(NewHandler(srv, HandlerConfig{OwnerToken: testOwnerToken}))
+			defer h.Close()
+			for _, req := range []ProtectRequest{
+				{Method: "mdav", Seed: 7, Params: map[string]float64{"k": 3}},
+				{Method: "noise", Seed: 7},
+			} {
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, got := postProtect(t, h.URL, testOwnerToken, string(body))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %s: %s", req.Method, resp.Status, got)
+				}
+				masked, rep, err := sdc.ApplySeed(context.Background(), req.Method, d.DropRole(dataset.Identifier),
+					sdc.Params{Values: req.Params}, req.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var csv strings.Builder
+				if err := masked.WriteCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				want := httptest.NewRecorder()
+				writeJSON(want, http.StatusOK, ProtectResponse{Report: rep, CSV: csv.String()})
+				if want.Body.Len() == 0 || !bytes.Equal(got, want.Body.Bytes()) {
+					t.Fatalf("%s: /protect released\n%s\nwant\n%s", req.Method, got, want.Body.Bytes())
+				}
+			}
+		})
 	}
 }

@@ -176,51 +176,30 @@ func (sg *segment) window(words []uint64) []uint64 {
 	return words[sg.base>>6 : (sg.base+sg.n+63)>>6]
 }
 
-// Eval answers the conjunction via the segment indexes: the conjunction is
-// planned once (range conditions on one column merge into a single
-// interval), then the plan scatters across the shards — each shard task
-// evaluates its own segments locally into the segment's disjoint window of
-// the snapshot bitmap (the dictionary's ends, then binary searches of the
-// dictionary resolve each conjunct to a permutation range, and each range
-// costs min(k, n−k) bit writes:
-// scatter the k matches or clear the n−k failures; see segData.eval),
-// reusing one pooled scratch window — and the unindexed tail falls back to
-// a compiled scan. The gathered bitmap is exact, so the parallelism cannot
-// perturb any answer: byte-identical to the single-threaded path at every
-// worker and shard count. A spilled segment whose file fails its checksum
-// or decode fails the query with an error wrapping ErrUnreadable that
-// names the file; no bitmap is returned.
+// Eval answers the conjunction via the segment indexes. It is EvalBatch's
+// one-query case, so the single-query and batched paths share one scatter;
+// see evalCompiled for the evaluation itself. An uncompilable conjunction
+// fails with compile's error, unwrapped. A spilled segment whose file fails
+// its checksum or decode fails the query with an error wrapping
+// ErrUnreadable that names the file; no bitmap is returned.
 func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
 		return nil, err
 	}
-	bm := NewBitmap(s.rows)
-	if len(cc) == 0 {
-		if err := s.readAll(); err != nil {
-			return nil, err
-		}
-		bm.SetAll()
-		return bm, nil
-	}
-	p := planConds(cc)
-	if p.empty {
-		return bm, nil
-	}
-	if err := s.scatter(
-		func(sg *segment, d *segData, scratch []uint64) { d.eval(p, sg.window(bm.words), scratch) },
-		func() { s.evalTail(cc, bm) },
-	); err != nil {
+	out, err := s.evalCompiled([][]compiledCond{cc})
+	if err != nil {
 		return nil, err
 	}
-	return bm, nil
+	return out[0], nil
 }
 
 // EvalScan answers the conjunction by a compiled row-at-a-time sweep over
 // every segment and the tail — the reference path the indexes must stay
-// byte-identical to, and the fallback a -scan server runs. It scatters over
-// the same shards as Eval, so indexed-vs-scan benchmarks compare index
-// structure, not scheduling. Unreadable segments fail it as they fail Eval.
+// byte-identical to, and the scan side of cmd/benchstore's speedup gate. It
+// scatters over the same shards as Eval, so indexed-vs-scan benchmarks
+// compare index structure, not scheduling. Unreadable segments fail it as
+// they fail Eval.
 func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
@@ -251,39 +230,50 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 }
 
 // EvalBatch evaluates a matrix of conjunctions in one column sweep per
-// shard: every shard task visits each of its segments once and tests all
-// planned conjunctions against it while the segment's columns and indexes
-// are hot — the cache-locality amortisation the PIR AnswerBatch kernel gets
-// from answering a query matrix in one database pass, applied to the
-// answer-cache miss path. Each query gets its own bitmap, produced by
-// exactly the per-segment operations Eval would run for it alone, so every
-// batched bitmap is word-identical to the corresponding single-query Eval.
-// An uncompilable conjunction fails the whole batch (callers validating
-// queries individually should compile them first), and so does an
-// unreadable segment, as in Eval.
+// shard; each bitmap is word-identical to the corresponding single-query
+// Eval. An uncompilable conjunction fails the whole batch (callers
+// validating queries individually should compile them first), and so does
+// an unreadable segment, as in Eval.
 func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
-	out := make([]*Bitmap, len(batch))
 	ccs := make([][]compiledCond, len(batch))
-	plans := make([]*plan, len(batch))
-	active := make([]int, 0, len(batch)) // queries that must visit segments
-	selectAll := false                   // some query has no conditions
 	for k, conds := range batch {
 		cc, err := s.compile(conds)
 		if err != nil {
 			return nil, fmt.Errorf("store: batch query %d: %w", k, err)
 		}
+		ccs[k] = cc
+	}
+	return s.evalCompiled(ccs)
+}
+
+// evalCompiled answers compiled conjunctions through the segment indexes.
+// Each conjunction is planned once (range conditions on one column merge
+// into a single interval), then one scatter visits every segment once and
+// tests all planned conjunctions against it while its columns and indexes
+// are hot — the cache-locality amortisation the PIR AnswerBatch kernel gets
+// from answering a query matrix in one database pass. Per segment, the
+// dictionary's ends, then binary searches of the dictionary resolve each
+// conjunct to a permutation range, and each range costs min(k, n−k) bit
+// writes (scatter the k matches or clear the n−k failures; see
+// segData.eval) into the segment's disjoint window of the query's bitmap;
+// the unindexed tail falls back to a compiled scan. The gathered bitmaps
+// are exact, so the parallelism cannot perturb any answer: byte-identical
+// at every worker and shard count.
+func (s *Snapshot) evalCompiled(ccs [][]compiledCond) ([]*Bitmap, error) {
+	out := make([]*Bitmap, len(ccs))
+	plans := make([]*plan, len(ccs))
+	active := make([]int, 0, len(ccs)) // queries that must visit segments
+	selectAll := false                 // some query has no conditions
+	for k, cc := range ccs {
 		out[k] = NewBitmap(s.rows)
 		if len(cc) == 0 {
 			out[k].SetAll()
 			selectAll = true
 			continue
 		}
-		p := planConds(cc)
-		if p.empty {
-			continue
+		if plans[k] = planConds(cc); !plans[k].empty {
+			active = append(active, k)
 		}
-		ccs[k], plans[k] = cc, p
-		active = append(active, k)
 	}
 	if len(active) == 0 && !selectAll {
 		return out, nil
@@ -297,13 +287,8 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 			}
 		},
 		func() {
-			base := len(s.segs) * s.store.segSize
-			for i := 0; i < s.tailLen; i++ {
-				for _, k := range active {
-					if s.matchTail(ccs[k], i) {
-						out[k].Set(base + i)
-					}
-				}
+			for _, k := range active {
+				s.evalTail(ccs[k], out[k])
 			}
 		},
 	); err != nil {

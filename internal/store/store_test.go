@@ -353,6 +353,11 @@ func TestZeroValueCondIsEmptyString(t *testing.T) {
 	if zero.Count() != explicit.Count() {
 		t.Fatalf("zero-valued cond matched %d rows, explicit empty-string %d", zero.Count(), explicit.Count())
 	}
+	scan, err := snap.EvalScan([]Cond{{Col: "c", Op: Eq}})
+	if err != nil {
+		t.Fatalf("EvalScan: zero-valued categorical cond rejected: %v", err)
+	}
+	sameBits(t, "zero-valued cond, EvalScan vs Eval", scan, zero)
 	if _, err := snap.Eval([]Cond{{Col: "c", Op: Eq, V: 2}}); err == nil {
 		t.Fatal("non-zero numeric value against categorical column accepted")
 	}

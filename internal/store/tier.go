@@ -41,15 +41,14 @@ func TierGauges() (resident, spilled, spilledReads int64) {
 	return gSegResident.Load(), gSegSpilled.Load(), gSpilledReads.Load()
 }
 
-// Options configures a durable store.
+// Options configures a durable store. The shard count is not an option:
+// Create partitions sealed segments across DefaultShards shards and records
+// the count in the manifest, which Open then follows.
 type Options struct {
 	// SegmentSize is the rows per sealed segment: a multiple of 64 in
 	// [64, MaxSegmentSize] (0 selects DefaultSegmentSize on Create; on
 	// Open it must match the manifest or be 0).
 	SegmentSize int
-	// Shards is the segment shard count (0 selects DefaultShards on
-	// Create, the manifest's count on Open).
-	Shards int
 	// MemCap caps the decoded resident bytes of sealed segments; 0 means
 	// uncapped (segments are still persisted, never evicted).
 	MemCap int64
@@ -271,7 +270,7 @@ func Create(dir string, attrs []dataset.Attribute, opts Options) (*Store, error)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newStore(attrs, opts.SegmentSize, opts.Shards, dir, opts)
+	s, err := newStore(attrs, opts.SegmentSize, DefaultShards, dir, opts)
 	if err != nil {
 		lockF.Close()
 		return nil, err
@@ -336,11 +335,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		lockF.Close()
 		return nil, fmt.Errorf("store: %s has segment size %d, requested %d", dir, m.SegSize, opts.SegmentSize)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = m.Shards
-	}
-	s, err := newStore(m.Attrs, m.SegSize, shards, dir, opts)
+	s, err := newStore(m.Attrs, m.SegSize, m.Shards, dir, opts)
 	if err != nil {
 		lockF.Close()
 		return nil, err
