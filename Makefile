@@ -35,15 +35,17 @@ lint:
 	$(GO) test ./cmd/privacy3d -run 'TestMethodTableGolden|TestProtectionTableGolden|TestProtectionTableFlagsExist|TestServeFlagsGolden|TestHelpListsEveryMethod|TestProtectionHelpMatchesParser'
 
 # fuzz runs each native fuzz target for 20 s on a local machine: the CSV
-# reader and the store's four on-disk decoders — sealed segment, tail,
-# manifest and dictionary. CI and check run only their seed corpora, as
-# part of go test.
+# reader, the store's four on-disk decoders — sealed segment, tail,
+# manifest and dictionary — and the seal's dictionary build, checked
+# against a comparison-sort reference on fuzzed columns of every segment
+# length. CI and check run only their seed corpora, as part of go test.
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeTail$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeDict$$' -fuzztime 20s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzBuildSegData$$' -fuzztime 20s
 
 build:
 	$(GO) build ./...

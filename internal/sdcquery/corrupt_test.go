@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"privacy3d/internal/dataset"
+	"privacy3d/internal/obs"
 	"privacy3d/internal/store"
 )
 
@@ -146,5 +147,57 @@ func TestAskBatchOverCorruptSegmentKeepsCachedAnswers(t *testing.T) {
 			t.Fatalf("missed query %d over corrupt segments: answer %+v, error %v; want a checksum ErrUnreadable",
 				i, answers[i], errs[i])
 		}
+	}
+}
+
+// TestHTTPProtectOverCorruptSegmentFails corrupts every segment file of a
+// served datadir whose segments stay spilled and asks for a release:
+// POST /protect answers with a JSON error naming a segment file's
+// checksum, the panic recovery records no panic, and the release is served
+// once the bytes are restored.
+func TestHTTPProtectOverCorruptSegmentFails(t *testing.T) {
+	srv, dir := spilledServer(t, Config{Protection: NoProtection})
+	reg := obs.NewRegistry()
+	h := httptest.NewServer(obs.Chain(NewHandler(srv, HandlerConfig{OwnerToken: testOwnerToken, Registry: reg}), obs.Recover(reg, nil)))
+	defer h.Close()
+	protect := func() (int, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, h.URL+"/protect", strings.NewReader(`{"method": "mdav", "seed": 7, "params": {"k": 3}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+testOwnerToken)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("status %s: body is not JSON: %v", resp.Status, err)
+		}
+		return resp.StatusCode, body
+	}
+
+	for i := 0; i < 4; i++ {
+		flipSegByte(t, dir, fmt.Sprintf("SEG-%08d", i))
+	}
+	code, body := protect()
+	msg, _ := body["error"].(string)
+	if code != http.StatusInternalServerError || !strings.Contains(msg, "SEG-0000000") || !strings.Contains(msg, "checksum") {
+		t.Fatalf("/protect over corrupt segments: status %d, body %v; want 500 with an error naming a file's checksum", code, body)
+	}
+	if n := reg.Counter(obs.Label("http_panics_total", "endpoint", "/protect")).Value(); n != 0 {
+		t.Fatalf("/protect over corrupt segments panicked %d times", n)
+	}
+	if _, err := srv.Dataset(); !errors.Is(err, store.ErrUnreadable) {
+		t.Fatalf("Server.Dataset over corrupt segments: %v; want an ErrUnreadable", err)
+	}
+
+	for i := 0; i < 4; i++ {
+		flipSegByte(t, dir, fmt.Sprintf("SEG-%08d", i)) // restore the byte
+	}
+	if code, body := protect(); code != http.StatusOK || body["csv"] == "" {
+		t.Fatalf("/protect after restoring the files: status %d, body %v; want 200 with a release", code, body)
 	}
 }

@@ -29,7 +29,7 @@ func dpServer(t *testing.T, cfg Config) *Server {
 func TestDPPerturbsAndDebits(t *testing.T) {
 	srv := dpServer(t, Config{Seed: 9, Epsilon: 0.5, EpsilonBudget: 2})
 	q := Query{Agg: Avg, Attr: "blood_pressure", Where: Predicate{{Col: "height", Op: Ge, V: 170}}}
-	truth, err := q.Evaluate(srv.Dataset())
+	truth, err := q.Evaluate(servedDataset(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -634,7 +634,14 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		// masking method targets; stripping them before masking keeps the
 		// Report's column indices consistent with the released schema (the
 		// request's columns/target likewise address the identifier-free view).
-		release := srv.Dataset().DropRole(dataset.Identifier)
+		served, err := srv.Dataset()
+		if err != nil {
+			// A segment file failed its checksum or decode: the stored
+			// data is at fault, not the request.
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		release := served.DropRole(dataset.Identifier)
 		// The request context carries the middleware timeout and the client
 		// connection: a dropped client or server drain cancels the masking
 		// run at its next chunk boundary instead of burning cores.

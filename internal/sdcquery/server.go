@@ -558,8 +558,9 @@ func (s *Server) BatchStats() (batches, queries int64) {
 // Dataset exposes the served microdata — the owner-side handle the
 // /protect endpoint masks releases from: a fresh materialization of the
 // current snapshot, so a masking run is never affected by ingest that lands
-// mid-release.
-func (s *Server) Dataset() *dataset.Dataset { return s.st.Snapshot().Materialize() }
+// mid-release. A spilled segment whose file no longer reads back intact
+// fails it with an error wrapping store.ErrUnreadable that names the file.
+func (s *Server) Dataset() (*dataset.Dataset, error) { return s.st.Snapshot().Dataset() }
 
 // Ingest appends one record to the served microdata (same value contract
 // as dataset.Append). In-flight queries, audits and releases pinned an

@@ -164,7 +164,7 @@ func TestServerIngest(t *testing.T) {
 	if a.Value != 8 {
 		t.Fatalf("pre-ingest COUNT = %g, want 8", a.Value)
 	}
-	sameDataset(t, srv.Dataset(), d)
+	sameDataset(t, servedDataset(t, srv), d)
 	v0 := srv.Version()
 	for i := 0; i < 100; i++ {
 		if err := srv.Ingest(float64(i), "new", float64(i)); err != nil {
@@ -183,7 +183,7 @@ func TestServerIngest(t *testing.T) {
 	if a.Value != 108 {
 		t.Fatalf("post-ingest COUNT = %g, want 108 (stale cached answer?)", a.Value)
 	}
-	got := srv.Dataset()
+	got := servedDataset(t, srv)
 	if got.Rows() != 108 || d.Rows() != 8 {
 		t.Fatalf("materialized rows=%d, original rows=%d; want 108/8", got.Rows(), d.Rows())
 	}
@@ -212,7 +212,7 @@ func TestNoiseIndependentAcrossVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth1, err := q.Evaluate(srv.Dataset())
+		truth1, err := q.Evaluate(servedDataset(t, srv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestNoiseIndependentAcrossVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		truth2, err := q.Evaluate(srv.Dataset())
+		truth2, err := q.Evaluate(servedDataset(t, srv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,6 +325,16 @@ func TestAuditedConsistentUnderIngest(t *testing.T) {
 	}
 }
 
+// servedDataset is srv.Dataset for a server whose files are intact.
+func servedDataset(t *testing.T, srv *Server) *dataset.Dataset {
+	t.Helper()
+	d, err := srv.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // sameDataset fails unless got has want's schema — names, roles, kinds and
 // ordinal categories — and bit-identical values: floats compare through
 // math.Float64bits, so the sign of −0 and NaN payloads count, which
@@ -400,7 +410,7 @@ func TestServerDatasetMatchesConstruction(t *testing.T) {
 			if tc.cfg.MemCap > 0 && srv.st.TierStats().Spilled == 0 {
 				t.Fatal("no segment spilled under the memory cap")
 			}
-			sameDataset(t, srv.Dataset(), d)
+			sameDataset(t, servedDataset(t, srv), d)
 
 			h := httptest.NewServer(NewHandler(srv, HandlerConfig{OwnerToken: testOwnerToken}))
 			defer h.Close()

@@ -217,12 +217,12 @@ func BenchmarkSumSparseFullSweep100k(b *testing.B) {
 	}
 }
 
-// sealBenchColumns returns the columns of one 8192-row trial segment as
-// the open tail holds them, and the schema: the input a seal indexes and
-// writes.
-func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32, []dataset.Attribute) {
+// sealBenchColumns returns the columns of one 8192-row segment of the
+// synthetic kind ("trial" or "census") as the open tail holds them, and
+// the schema: the input a seal indexes and writes.
+func sealBenchColumns(b *testing.B, kind string) ([][]float64, [][]uint32, []dataset.Attribute) {
 	b.Helper()
-	d, err := dataset.Synth("trial", DefaultSegmentSize, 20070923)
+	d, err := dataset.Synth(kind, DefaultSegmentSize, 20070923)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,24 +248,30 @@ func sealBenchColumns(b *testing.B) ([][]float64, [][]uint32, []dataset.Attribut
 var sealSink *segData
 
 // BenchmarkSeal times what sealing one segment of a durable store costs:
-// building its indexes and writing its checksummed file (tmp + fsync +
-// rename). The index sub-benchmark times the index build alone.
+// building its indexes with the builder a store reuses across its seals,
+// and writing its checksummed file (tmp + fsync + rename). The index
+// sub-benchmark times the index build alone. trial columns hold a few
+// hundred distinct values each (data recorded at a fixed precision);
+// census columns are continuous, every value distinct.
 func BenchmarkSeal(b *testing.B) {
-	nums, cats, attrs := sealBenchColumns(b)
-	b.Run("index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sealSink = buildSegData(nums, cats)
-		}
-	})
-	b.Run("seal", func(b *testing.B) {
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			d := buildSegData(nums, cats)
-			if _, _, err := writeSegFile(dir, segFileName(0), 0, attrs, d); err != nil {
-				b.Fatal(err)
+	for _, kind := range []string{"trial", "census"} {
+		nums, cats, attrs := sealBenchColumns(b, kind)
+		db := newDictBuilder()
+		b.Run("index/"+kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sealSink = db.build(nums, cats)
 			}
-		}
-	})
+		})
+		b.Run("seal/"+kind, func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				d := db.build(nums, cats)
+				if _, _, err := writeSegFile(dir, segFileName(0), 0, attrs, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // openBenchDir writes a durable store of rows trial rows in default-size

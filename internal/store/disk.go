@@ -102,7 +102,7 @@ func putSlice[T float64 | uint32 | uint16](cw *crcWriter, vals []T) {
 // writeFile appends. It returns the final size and the CRC of the whole
 // file, footer included, as the manifest records them.
 func writeFile(dir, name string, body func(cw *crcWriter)) (int64, uint32, error) {
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
+	tmp, err := os.CreateTemp(dir, name+tmpInfix+"*")
 	if err != nil {
 		return 0, 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"privacy3d/internal/dataset"
@@ -366,6 +367,93 @@ func FuzzDecodeDict(f *testing.F) {
 		}
 		if !bytes.Equal(re, buf) {
 			t.Fatalf("%d accepted entries re-encode to different bytes", len(strs))
+		}
+	})
+}
+
+// buildLengths are the column lengths FuzzBuildSegData picks from: 0, 1,
+// 63, and every multiple of 64 up to MaxSegmentSize.
+var buildLengths = func() []int {
+	ns := []int{0, 1, 63}
+	for n := 64; n <= MaxSegmentSize; n += 64 {
+		ns = append(ns, n)
+	}
+	return ns
+}()
+
+// buildColumns decodes fuzz bytes into one segment's columns of n rows:
+// the bytes, cycled, as 8-byte words. x holds row i's word as a float64
+// bit pattern, so NaN payloads, −0/+0, ±Inf and subnormals all occur; y
+// is x with each cycle through the bytes flipping different low bits, so
+// long columns get many distinct values; c holds the word's low 32 bits
+// as a categorical code.
+func buildColumns(n int, data []byte) (x, y []float64, c []uint32) {
+	words := make([]uint64, (len(data)+7)/8)
+	for i := range words {
+		var w [8]byte
+		copy(w[:], data[8*i:])
+		words[i] = binary.LittleEndian.Uint64(w[:])
+	}
+	if len(words) == 0 {
+		words = []uint64{0}
+	}
+	x, y, c = make([]float64, n), make([]float64, n), make([]uint32, n)
+	for i := range x {
+		w := words[i%len(words)]
+		x[i] = math.Float64frombits(w)
+		y[i] = math.Float64frombits(w ^ uint64(i/len(words)))
+		c[i] = uint32(w)
+	}
+	return x, y, c
+}
+
+// FuzzBuildSegData checks the seal's dictionary build against the
+// comparison-sort reference on fuzzed columns of every length a segment
+// can have: each numeric column's dict (bit for bit), codes, start, perm
+// and NaN boundary must be refNumCol's and its zone refZone's, and the
+// categorical column must be refCatCol's.
+func FuzzBuildSegData(f *testing.F) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	sub := math.SmallestNonzeroFloat64
+	special := []float64{nan, negZero, 0, inf, -inf, sub, -sub, 1.5, -1.5,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8dead0000beef), math.Float64frombits(0x7ff0000000000001)}
+	var seed []byte
+	for _, v := range special {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	var heights []byte // values recorded at a fixed precision: few distinct
+	for i := 0; i < 64; i++ {
+		heights = binary.LittleEndian.AppendUint64(heights, math.Float64bits(150+float64(i%40)/2))
+	}
+	for _, n := range []int{0, 1, 63, 64, 128, DefaultSegmentSize, MaxSegmentSize} {
+		sel := uint16(slices.Index(buildLengths, n))
+		f.Add(sel, seed)
+		f.Add(sel, heights)
+	}
+	f.Add(uint16(4), []byte{})
+	f.Add(uint16(5), []byte{0x01, 0x02, 0x03})
+	f.Fuzz(func(t *testing.T, sel uint16, data []byte) {
+		n := buildLengths[int(sel)%len(buildLengths)]
+		x, y, c := buildColumns(n, data)
+		d := buildSegData([][]float64{x, nil, y}, [][]uint32{nil, c, nil})
+		if d.n != n {
+			t.Fatalf("%d rows, want %d", d.n, n)
+		}
+		for j, col := range [][]float64{x, nil, y} {
+			if col == nil {
+				continue
+			}
+			want := refNumCol(col)
+			if diff := sameCol(&d.nums[j], &want); diff != "" {
+				t.Fatalf("n=%d numeric column %d: %s differs from the comparison sort", n, j, diff)
+			}
+			if got, want := numZone(&d.nums[j]), refZone(col); !got.identical(want) {
+				t.Fatalf("n=%d numeric column %d: zone [%g, %g], want [%g, %g]", n, j, got.min, got.max, want.min, want.max)
+			}
+		}
+		want := refCatCol(c)
+		if diff := sameCol(&d.cats[1], &want); diff != "" {
+			t.Fatalf("n=%d categorical column: %s differs from the comparison sort", n, diff)
 		}
 	})
 }

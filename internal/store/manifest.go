@@ -33,10 +33,12 @@ import (
 // every file it references was fsync'd before the rename. Recovery (Open)
 // walks manifests newest-first and adopts the first one whose own checksum
 // verifies and whose referenced files check out (see validateManifest);
-// anything newer is a torn or corrupted commit and is deleted, and data
-// files no manifest references (torn tail of a crashed ingest) are swept.
-// The two newest manifests are kept after each commit so external
-// corruption of the newest still leaves a valid fallback.
+// anything newer is a torn or corrupted commit and is deleted, and Open's
+// commit sweeps the files no kept manifest references (the torn tail of a
+// crashed ingest, temp files). The two newest manifests are kept after
+// each commit so external corruption of the newest still leaves a valid
+// fallback; every other commit removes the manifest and tail file it
+// supersedes by name, without listing the directory.
 const (
 	manifestMagic  = "P3DMAN01"
 	manifestPrefix = "MANIFEST-"
@@ -44,6 +46,7 @@ const (
 	tailPrefix     = "TAIL-"
 	dictFileName   = "DICT"
 	lockFileName   = "LOCK"
+	tmpInfix       = ".tmp" // in the name of every file a write has yet to rename
 )
 
 // manifestBlock describes one committed block file (sealed segment or
@@ -142,7 +145,7 @@ func writeManifest(dir string, seq uint64, m *manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "manifest.tmp*")
+	tmp, err := os.CreateTemp(dir, "manifest"+tmpInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -359,8 +362,9 @@ func recoverManifest(dir string) (*manifest, uint64, error) {
 
 // sweepOrphans removes data files referenced by neither of the kept
 // manifests: segment files at ordinals past the committed list (torn
-// seals) and tail files from superseded commits. Best-effort — a failure
-// leaves garbage, never breaks state.
+// seals), tail files from superseded commits, and the temp files of writes
+// a crash or an error cut short. Best-effort — a failure leaves garbage,
+// never breaks state.
 func sweepOrphans(dir string, keep map[string]bool, committedSegs int) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -369,6 +373,8 @@ func sweepOrphans(dir string, keep map[string]bool, committedSegs int) {
 	for _, e := range ents {
 		name := e.Name()
 		switch {
+		case strings.Contains(name, tmpInfix):
+			os.Remove(filepath.Join(dir, name))
 		case strings.HasPrefix(name, tailPrefix):
 			if !keep[name] {
 				os.Remove(filepath.Join(dir, name))

@@ -458,3 +458,165 @@ func TestManifestSegmentSizeCheckedAtOpen(t *testing.T) {
 		}
 	}
 }
+
+// wantOnlyReferencedFiles fails unless dir holds exactly two manifests,
+// the segment and tail files they reference, LOCK and DICT.
+func wantOnlyReferencedFiles(t *testing.T, dir string) {
+	t.Helper()
+	seqs, err := listManifests(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 2 {
+		t.Fatalf("%d manifests %v on disk, want the newest and its fallback", len(seqs), seqs)
+	}
+	want := map[string]bool{lockFileName: true, dictFileName: true}
+	for _, seq := range seqs {
+		want[manifestFileName(seq)] = true
+		m, err := readManifest(filepath.Join(dir, manifestFileName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range m.Segments {
+			want[b.File] = true
+		}
+		if m.Tail != nil {
+			want[m.Tail.File] = true
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range ents {
+		got[e.Name()] = true
+		if !want[e.Name()] {
+			t.Errorf("%s is on disk, but neither kept manifest references it", e.Name())
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("%s is referenced, but not on disk", name)
+		}
+	}
+}
+
+// appendRows appends rows [from, to) of d one Append at a time, so every
+// seal commits on its own.
+func appendRows(t *testing.T, s *Store, d *dataset.Dataset, from, to int) {
+	t.Helper()
+	vals := make([]any, d.Cols())
+	for i := from; i < to; i++ {
+		for j := range vals {
+			vals[j] = d.Value(i, j)
+		}
+		if err := s.Append(vals...); err != nil {
+			t.Fatalf("Append row %d: %v", i, err)
+		}
+	}
+}
+
+// TestCommitsKeepOnlyReferencedFiles seals 20 segments one Append at a
+// time, so each seal is a commit that removes the manifest and tail file
+// it supersedes by name, then closes with a partial tail: the directory
+// holds exactly what the two kept manifests reference. Orphans planted
+// before a reopen — a temp file, a tail file no manifest names and a
+// segment file past the committed count — are left alone by the commits
+// of a running store, which do not list the directory, and swept by
+// Open's commit.
+func TestCommitsKeepOnlyReferencedFiles(t *testing.T) {
+	const segSize, segs = 64, 20
+	dir := t.TempDir()
+	d := persistDataset(t, 2*segs*segSize)
+	s, err := Create(dir, d.Attrs(), Options{SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, s, d, 0, segs*segSize+17)
+	wantOnlyReferencedFiles(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantOnlyReferencedFiles(t, dir)
+
+	orphans := []string{segFileName(segs) + tmpInfix + "123", tailFileName(999), segFileName(segs + 5)}
+	plant := func() {
+		for _, name := range orphans {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plant()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOnlyReferencedFiles(t, dir)
+
+	// A running store's commits remove only what they supersede.
+	plant()
+	appendRows(t, r, d, segs*segSize+17, (segs+3)*segSize)
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("orphan %s: %v; a commit of a running store swept it", name, err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	wantOnlyReferencedFiles(t, dir)
+	if want := (segs + 3) * segSize; r.Rows() != want {
+		t.Fatalf("reopened store holds %d rows, want %d", r.Rows(), want)
+	}
+}
+
+// TestCommitAfterFailedCommitSweeps makes one seal's commit fail — a
+// directory squats on the name of the manifest it writes — and checks
+// that the next commit, with the squatter gone, lists the directory and
+// sweeps the files no kept manifest references.
+func TestCommitAfterFailedCommitSweeps(t *testing.T) {
+	const segSize = 64
+	dir := t.TempDir()
+	d := persistDataset(t, 4*segSize)
+	s, err := Create(dir, d.Attrs(), Options{SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendRows(t, s, d, 0, segSize+5)
+	wantOnlyReferencedFiles(t, dir)
+
+	// The next commit's manifest name is taken by a non-empty directory,
+	// so its rename fails.
+	squat := filepath.Join(dir, manifestFileName(s.manifestSeq+1))
+	if err := os.MkdirAll(filepath.Join(squat, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, tailFileName(999))
+	if err := os.WriteFile(orphan, []byte("orphan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, s, d, segSize+5, 2*segSize-1)
+	vals := make([]any, d.Cols())
+	for j := range vals {
+		vals[j] = d.Value(2*segSize-1, j)
+	}
+	if err := s.Append(vals...); err == nil {
+		t.Fatal("the seal's commit succeeded onto a directory")
+	}
+	if err := os.RemoveAll(squat); err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, s, d, 2*segSize, 3*segSize+3)
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphan tail file not swept by the commit after a failed one: %v", err)
+	}
+	wantOnlyReferencedFiles(t, dir)
+}

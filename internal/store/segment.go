@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync/atomic"
 	"unsafe"
 )
@@ -118,12 +119,11 @@ func (sg *segment) acquire() (*segData, error) {
 }
 
 // mustAcquire is acquire for the readers whose signatures carry no error
-// (Snapshot.Sum, Float, Cat, Materialize). For Sum, Float and Cat a
-// query's Eval has already read and verified every segment its answer
-// re-reads (with or without conditions), so a failure there means the
-// file changed underneath a live store between the two reads. Materialize
-// has no Eval before it. Either way it panics, and a serving layer's panic
-// recovery answers with an error.
+// (Snapshot.Sum, Float and Cat). A query's Eval has already read and
+// verified every segment its answer re-reads (with or without
+// conditions), so a failure there means the file changed underneath a
+// live store between the two reads: it panics, and a serving layer's
+// panic recovery answers with an error.
 func (sg *segment) mustAcquire() *segData {
 	d, err := sg.acquire()
 	if err != nil {
@@ -254,27 +254,15 @@ func numZone(c *dictCol[float64]) zone {
 	return z
 }
 
-// buildSegData dictionary-codes one sealed block. nums/cats are the frozen
-// column buffers; the segData copies what it keeps out of them. The build
-// is deterministic in the column values alone, and a decode rebuilds the
-// index with the same indexCodes pass, which is what makes a reload from
-// disk indistinguishable from the original resident form.
+// buildSegData dictionary-codes one sealed block with a fresh builder; a
+// store's seals reuse the store's builder (Store.dicts) instead. nums/cats
+// are the frozen column buffers; the segData copies what it keeps out of
+// them. The build is deterministic in the column values alone, and a
+// decode rebuilds the index with the same indexCodes pass, which is what
+// makes a reload from disk indistinguishable from the original resident
+// form.
 func buildSegData(nums [][]float64, cats [][]uint32) *segData {
-	d := &segData{nums: make([]dictCol[float64], len(nums)), cats: make([]dictCol[uint32], len(cats))}
-	var rs radixSorter
-	for j, col := range nums {
-		if col != nil {
-			d.n = len(col)
-			d.nums[j] = rs.numCol(col)
-		}
-	}
-	for j, col := range cats {
-		if col != nil {
-			d.n = len(col)
-			d.cats[j] = rs.catCol(col)
-		}
-	}
-	return d
+	return newDictBuilder().build(nums, cats)
 }
 
 // footprint is the byte size of every slice the segData holds, for the
@@ -309,80 +297,176 @@ func entryLess(a, b float64) bool {
 	return orderKey(a) < orderKey(b)
 }
 
-// radixSorter builds the dictionaries with a stable LSD radix sort over
-// uint64 keys, one byte per pass, in linear time; its scratch is reused
-// across the columns of a segment.
-type radixSorter struct {
-	keys, keys2   []uint64
-	order, order2 []uint32
+// dictBuilder dictionary-codes the columns of a segment from their
+// distinct values; its scratch is reused across columns and, held by a
+// store, across the store's seals. A column is coded in three steps
+// (code):
+//
+//  1. One pass hashes every row's value into an open-addressing table,
+//     which gives each distinct value an id, in order of first appearance,
+//     and writes the row's id into its code slot.
+//  2. The distinct values alone are radix-sorted: numbers by orderKey, then
+//     any NaN payloads, as a group of their own, by bit pattern.
+//  3. A rank table maps each id to its sorted position, and every row's id
+//     is replaced by its rank: the row's code.
+//
+// A data column recorded at a fixed precision holds a few hundred distinct
+// values per segment, so the sort moves hundreds of keys, not thousands of
+// rows; a column of all-distinct values pays the hash pass on top of the
+// sort it always paid. The hash is multiply-shift with an odd multiplier
+// drawn per builder: ids, and so the coded column, do not depend on it, and
+// no choice of values can make the table's probe runs long but by chance.
+type dictBuilder struct {
+	radixSorter
+	mul   uint64   // the hash multiplier (odd)
+	bits  []uint64 // the column's values as float64 bit patterns
+	slots []uint32 // the hash table: 1 + the id of the value in a slot, 0 when empty
+	vals  []uint64 // the distinct bit patterns, by id
+	rank  []uint16 // id → code
 }
 
-// numCol dictionary-codes a numeric column. The numbers are sorted by
-// orderKey and the NaN rows, after them, by bit pattern; each run of one
-// key becomes one dictionary entry.
-func (rs *radixSorter) numCol(col []float64) dictCol[float64] {
-	keys, order := rs.bufs(len(col))
-	m := 0
-	for i, v := range col {
-		if !math.IsNaN(v) {
-			keys[m], order[m] = orderKey(v), uint32(i)
-			m++
+// newDictBuilder returns a builder; its scratch is allocated by its first
+// build.
+func newDictBuilder() *dictBuilder { return &dictBuilder{mul: rand.Uint64() | 1} }
+
+// build dictionary-codes one sealed block (see buildSegData).
+func (db *dictBuilder) build(nums [][]float64, cats [][]uint32) *segData {
+	d := &segData{nums: make([]dictCol[float64], len(nums)), cats: make([]dictCol[uint32], len(cats))}
+	for j, col := range nums {
+		if col != nil {
+			d.n = len(col)
+			d.nums[j] = db.numCol(col)
 		}
 	}
-	k := m
-	for i, v := range col {
-		if math.IsNaN(v) {
-			keys[k], order[k] = math.Float64bits(v), uint32(i)
-			k++
+	for j, col := range cats {
+		if col != nil {
+			d.n = len(col)
+			d.cats[j] = db.catCol(col)
 		}
 	}
-	rs.sort(keys[:m], order[:m])
-	rs.sort(keys[m:], order[m:])
+	return d
+}
+
+// numCol dictionary-codes a numeric column.
+func (db *dictBuilder) numCol(col []float64) dictCol[float64] {
+	bits := db.bitsOf(len(col))
+	for i, v := range col {
+		bits[i] = math.Float64bits(v)
+	}
 	c := dictCol[float64]{codes: make([]uint16, len(col))}
-	c.dict = make([]float64, 0, distinct(keys[:m])+distinct(keys[m:]))
-	c.dict = appendEntries(c.dict, col, keys[:m], order[:m], c.codes)
-	c.nanFrom = len(c.dict)
-	c.dict = appendEntries(c.dict, col, keys[m:], order[m:], c.codes)
+	sorted, nanFrom := db.code(bits, c.codes)
+	c.dict = make([]float64, len(sorted))
+	for k, b := range sorted {
+		c.dict[k] = math.Float64frombits(b)
+	}
+	c.nanFrom = nanFrom
 	c.start, c.perm, _ = indexCodes(c.codes, len(c.dict))
 	return c
 }
 
-// catCol dictionary-codes a categorical column by its store-wide codes.
-func (rs *radixSorter) catCol(col []uint32) dictCol[uint32] {
-	keys, order := rs.bufs(len(col))
+// catCol dictionary-codes a categorical column by its store-wide codes. A
+// code widened to 64 bits is the bit pattern of a non-negative subnormal
+// (or zero): never a NaN, and ordered by orderKey as by code, so code
+// orders it exactly as the numbers of a numeric column.
+func (db *dictBuilder) catCol(col []uint32) dictCol[uint32] {
+	bits := db.bitsOf(len(col))
 	for i, v := range col {
-		keys[i], order[i] = uint64(v), uint32(i)
+		bits[i] = uint64(v)
 	}
-	rs.sort(keys, order)
 	c := dictCol[uint32]{codes: make([]uint16, len(col))}
-	c.dict = appendEntries(make([]uint32, 0, distinct(keys)), col, keys, order, c.codes)
+	sorted, _ := db.code(bits, c.codes)
+	c.dict = make([]uint32, len(sorted))
+	for k, b := range sorted {
+		c.dict[k] = uint32(b)
+	}
 	c.nanFrom = len(c.dict)
 	c.start, c.perm, _ = indexCodes(c.codes, len(c.dict))
 	return c
 }
 
-// distinct counts the runs of equal keys in sorted keys.
-func distinct(keys []uint64) int {
-	n := 0
-	for i := range keys {
-		if i == 0 || keys[i] != keys[i-1] {
-			n++
-		}
+// bitsOf returns bit-pattern scratch of length n.
+func (db *dictBuilder) bitsOf(n int) []uint64 {
+	if cap(db.bits) < n {
+		db.bits = make([]uint64, n)
 	}
-	return n
+	return db.bits[:n]
 }
 
-// appendEntries appends one entry per run of equal keys to dict — the
-// value of the run's first row — and codes every row of the run with it.
-// keys are sorted and keys[i] is row order[i]'s key.
-func appendEntries[T float64 | uint32](dict, col []T, keys []uint64, order []uint32, codes []uint16) []T {
-	for i, r := range order {
-		if i == 0 || keys[i] != keys[i-1] {
-			dict = append(dict, col[r])
-		}
-		codes[r] = uint16(len(dict) - 1)
+// code writes every row's code (its value's position in the dictionary)
+// into codes and returns the dictionary as bit patterns, ascending in
+// entryLess order, with the index of its first NaN entry. bits holds the
+// rows' values as float64 bit patterns. The returned slice is scratch,
+// valid until the next call.
+func (db *dictBuilder) code(bits []uint64, codes []uint16) (sorted []uint64, nanFrom int) {
+	// 1. Distinct values: a table of at least four times the rows stays at
+	// most a quarter full, so most rows find their slot at the first probe.
+	size, shift := 64, uint(58)
+	for size < 4*len(bits) {
+		size, shift = size<<1, shift-1
 	}
-	return dict
+	if cap(db.slots) < size {
+		db.slots = make([]uint32, size)
+	}
+	slots := db.slots[:size]
+	clear(slots)
+	mask := uint64(size - 1)
+	if cap(db.vals) < len(bits) {
+		db.vals = make([]uint64, len(bits))
+	}
+	vals := db.vals[:len(bits)]
+	codes = codes[:len(bits)]
+	m := 0
+	for i, b := range bits {
+		h := b * db.mul >> shift
+		for {
+			id := slots[h]
+			if id == 0 {
+				vals[m] = b
+				codes[i] = uint16(m)
+				m++
+				slots[h] = uint32(m)
+				break
+			}
+			if vals[id-1] == b {
+				codes[i] = uint16(id - 1)
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	vals = vals[:m]
+
+	// 2. Sort them: the numbers at the front, the NaNs at the back. Every
+	// key is distinct, so the order in which each group is filled does not
+	// matter.
+	keys, order := db.bufs(len(vals))
+	nan := len(vals)
+	for id, b := range vals {
+		if v := math.Float64frombits(b); math.IsNaN(v) {
+			nan--
+			keys[nan], order[nan] = b, uint16(id)
+		} else {
+			keys[nanFrom], order[nanFrom] = orderKey(v), uint16(id)
+			nanFrom++
+		}
+	}
+	db.sort(keys[:nanFrom], order[:nanFrom])
+	db.sort(keys[nanFrom:], order[nanFrom:])
+
+	// 3. Rank. The sorted keys are no longer needed, so their slots take
+	// the dictionary's bit patterns.
+	if cap(db.rank) < len(vals) {
+		db.rank = make([]uint16, len(vals))
+	}
+	rank := db.rank[:len(vals)]
+	for p, id := range order {
+		rank[id] = uint16(p)
+		keys[p] = vals[id]
+	}
+	for i, id := range codes {
+		codes[i] = rank[id]
+	}
+	return keys, nanFrom
 }
 
 // indexCodes derives a column's index from its codes with one counting
@@ -413,11 +497,18 @@ func indexCodes(codes []uint16, ndict int) (start, perm []uint16, ok bool) {
 	return start, perm, true
 }
 
-// bufs returns key and row scratch of length n.
-func (rs *radixSorter) bufs(n int) ([]uint64, []uint32) {
+// radixSorter sorts with a stable LSD radix sort over uint64 keys, one byte
+// per pass, in linear time; its scratch is reused across sorts.
+type radixSorter struct {
+	keys, keys2   []uint64
+	order, order2 []uint16
+}
+
+// bufs returns key and id scratch of length n.
+func (rs *radixSorter) bufs(n int) ([]uint64, []uint16) {
 	if cap(rs.keys) < n {
 		rs.keys = make([]uint64, n)
-		rs.order = make([]uint32, n)
+		rs.order = make([]uint16, n)
 	}
 	return rs.keys[:n], rs.order[:n]
 }
@@ -426,7 +517,7 @@ func (rs *radixSorter) bufs(n int) ([]uint64, []uint32) {
 // stably by key. One counting pass histograms all eight bytes; a byte
 // that is the same in every key is skipped, so a column pays only for
 // the bytes in which its values differ.
-func (rs *radixSorter) sort(keys []uint64, order []uint32) {
+func (rs *radixSorter) sort(keys []uint64, order []uint16) {
 	n := len(order)
 	if n < 2 {
 		return
@@ -439,7 +530,7 @@ func (rs *radixSorter) sort(keys []uint64, order []uint32) {
 	}
 	if cap(rs.keys2) < n {
 		rs.keys2 = make([]uint64, n)
-		rs.order2 = make([]uint32, n)
+		rs.order2 = make([]uint16, n)
 	}
 	srcK, srcP := keys, order
 	dstK, dstP := rs.keys2[:n], rs.order2[:n]

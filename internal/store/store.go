@@ -153,7 +153,8 @@ type Store struct {
 	attrs   []dataset.Attribute
 	segSize int
 	dict    *dict
-	tier    *tierState // tier bookkeeping; dir == "" for memory-only stores
+	tier    *tierState   // tier bookkeeping; dir == "" for memory-only stores
+	dicts   *dictBuilder // every seal's scratch: seals run one at a time, under mu
 
 	mu       sync.Mutex // serializes ingest, snapshot publication, and commits
 	segs     []*segment // sealed, immutable; replaced (never appended in place) on seal
@@ -176,6 +177,10 @@ type Store struct {
 	dictBytes     int64 // committed DICT prefix length
 	dictCRC       uint32
 	tailKeep      [2]string // tail files referenced by the two kept manifests
+	// sweep makes the next commit list the directory and remove every file
+	// the two kept manifests do not reference (sweepLocked); set for the
+	// commits of Open and Create and after a commit that failed.
+	sweep bool
 
 	shardState
 
@@ -223,6 +228,7 @@ func newStore(attrs []dataset.Attribute, segSize, shards int, dir string, opts O
 		attrs:   append([]dataset.Attribute(nil), attrs...),
 		segSize: segSize,
 		dict:    newDict(),
+		dicts:   newDictBuilder(),
 	}
 	s.tier = &tierState{dir: dir, memCap: opts.MemCap, attrs: s.attrs, segSize: segSize, files: map[int]*os.File{}}
 	s.initShards(shards, segSize)
@@ -274,7 +280,7 @@ func (s *Store) freshTail() {
 // is replaced, not appended in place, so snapshots holding the old slice
 // header are unaffected.
 func (s *Store) sealLocked() error {
-	d := buildSegData(s.tailNums, s.tailCats)
+	d := s.dicts.build(s.tailNums, s.tailCats)
 	sg := &segment{
 		base:  len(s.segs) * s.segSize,
 		n:     d.n,
@@ -685,12 +691,23 @@ func (s *Snapshot) NumRange(col int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Materialize exports the snapshot as a dataset (column-wise copy,
-// dictionary codes decoded). Masked releases run off this, so /protect
-// sees exactly the version pinned at request time. It reads every sealed
-// segment and panics on one whose file fails its checksum or decode
-// (see segment.mustAcquire), so a corrupt store never yields a release.
+// Materialize is Dataset for callers that hold the store's files intact:
+// it panics where Dataset returns an error.
 func (s *Snapshot) Materialize() *dataset.Dataset {
+	d, err := s.Dataset()
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// Dataset exports the snapshot as a dataset (column-wise copy, dictionary
+// codes decoded). Masked releases run off this, so /protect sees exactly
+// the version pinned at request time. It reads every sealed segment; one
+// whose file fails its read, checksum or decode fails the export with an
+// error wrapping ErrUnreadable that names the file, so a corrupt store
+// never yields a release.
+func (s *Snapshot) Dataset() (*dataset.Dataset, error) {
 	nums := make([][]float64, len(s.store.attrs))
 	cats := make([][]string, len(s.store.attrs))
 	for j, a := range s.store.attrs {
@@ -703,7 +720,10 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 	// Segment-outer order so each spilled segment is decoded once for all
 	// of its columns, not once per column.
 	for _, sg := range s.segs {
-		d := sg.mustAcquire()
+		d, err := sg.acquire()
+		if err != nil {
+			return nil, err
+		}
 		for j, a := range s.store.attrs {
 			if a.Kind == dataset.Numeric {
 				c := &d.nums[j]
@@ -737,5 +757,5 @@ func (s *Snapshot) Materialize() *dataset.Dataset {
 		// invariants; a failure here is a store bug.
 		panic(fmt.Sprintf("store: materialize: %v", err))
 	}
-	return d
+	return d, nil
 }

@@ -283,6 +283,7 @@ func Create(dir string, attrs []dataset.Attribute, opts Options) (*Store, error)
 	}
 	s.epoch = 1
 	s.version = s.epoch << 32
+	s.sweep = true
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.commitLocked(); err != nil {
@@ -344,6 +345,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.manifestSeq = seq
 	s.epoch = m.Epoch + 1
 	s.version = s.epoch << 32
+	s.sweep = true
 	fail := func(err error) (*Store, error) {
 		s.tier.close()
 		lockF.Close()
@@ -527,9 +529,11 @@ func (s *Store) flushDictLocked() error {
 // flush the dictionary, write a fresh tail file when the tail is
 // non-empty, and commit a new manifest via atomic rename. Sealed segment
 // files were already written (and fsync'd) at seal time. After the commit,
-// manifests and tail files superseded twice over are removed — the
+// the manifest and tail file superseded twice over are removed — the
 // previous commit stays on disk as the fallback recovery point.
 func (s *Store) commitLocked() error {
+	full := s.sweep
+	s.sweep = true // until this commit succeeds: a failed one leaves files no manifest names
 	if err := s.flushDictLocked(); err != nil {
 		return err
 	}
@@ -562,17 +566,35 @@ func (s *Store) commitLocked() error {
 		return err
 	}
 	s.manifestSeq = seq
+	dropped := s.tailKeep[1]
 	s.tailKeep[1] = s.tailKeep[0]
 	s.tailKeep[0] = tailName
-	s.cleanupLocked(seq)
+	s.sweep = false
+	if full {
+		s.sweepLocked(seq)
+		return nil
+	}
+	// Commits are numbered consecutively from the one Open or Create made,
+	// whose sweep left only it and its predecessor, so the manifest this
+	// commit supersedes as fallback is seq-2.
+	if seq > 2 {
+		os.Remove(filepath.Join(s.tier.dir, manifestFileName(seq-2)))
+	}
+	if dropped != "" {
+		os.Remove(filepath.Join(s.tier.dir, dropped))
+	}
 	return nil
 }
 
-// cleanupLocked removes manifests and tail files older than the previous
-// commit. Best-effort.
-func (s *Store) cleanupLocked(seq uint64) {
+// sweepLocked lists the directory after the commit at seq and removes every
+// manifest but seq and its fallback, and every file neither references:
+// what crashed or failed commits and seals left behind. It runs in the
+// commits Open and Create make and in the first commit after one that
+// failed. Best-effort.
+func (s *Store) sweepLocked(seq uint64) {
 	seqs, err := listManifests(s.tier.dir)
 	if err != nil {
+		s.sweep = true
 		return
 	}
 	for _, old := range seqs {
