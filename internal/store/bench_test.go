@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"privacy3d/internal/dataset"
@@ -293,21 +294,64 @@ func openBenchDir(b *testing.B, rows int) string {
 	return dir
 }
 
-// BenchmarkOpen times a restart of a 100k-row datadir: Open (manifest
-// recovery, dictionary and tail load, the epoch commit) and Close (the
-// final commit).
+// BenchmarkOpen times a restart of a datadir: Open (manifest recovery,
+// dictionary and tail load, the epoch commit) and Close (the final
+// commit), at 100k rows (13 segments) and at 1M rows (122 segments, the
+// datadir perfbench's miss_1m reopens).
 func BenchmarkOpen(b *testing.B) {
-	dir := openBenchDir(b, 100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := Open(dir, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := openBenchDir(b, c.rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := Open(dir, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkManifest times the manifest codec on the newest manifest of a
+// 1M-row datadir (122 segments): encode is what every commit pays before
+// its write, decode what Open pays per manifest it reads.
+func BenchmarkManifest(b *testing.B) {
+	dir := openBenchDir(b, 1_000_000)
+	seqs, err := listManifests(dir)
+	if err != nil || len(seqs) == 0 {
+		b.Fatalf("listManifests: %v (%d found)", err, len(seqs))
+	}
+	m, err := readManifest(filepath.Join(dir, manifestFileName(seqs[0])))
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := encodeManifest(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			if _, err := encodeManifest(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeManifest(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkLoadSpilled times one decode of a spilled segment: the whole

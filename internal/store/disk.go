@@ -503,25 +503,6 @@ func (br *blockReader) segLegacy(attrs []dataset.Attribute, rows int, v1 bool) (
 	return buildSegData(nums, cats), nil
 }
 
-// fileCRC computes the CRC-32 (IEEE) of the first limit bytes of the
-// file, streaming.
-func fileCRC(path string, limit int64) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	h := crc32.NewIEEE()
-	n, err := io.Copy(h, io.LimitReader(f, limit))
-	if err != nil {
-		return 0, err
-	}
-	if n != limit {
-		return 0, fmt.Errorf("store: %s: %d bytes, want at least %d", path, n, limit)
-	}
-	return h.Sum32(), nil
-}
-
 // syncDir fsyncs a directory so a just-renamed file is durable.
 func syncDir(dir string) error {
 	f, err := os.Open(dir)

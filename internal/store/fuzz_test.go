@@ -292,30 +292,44 @@ func addCorruptions(f *testing.F, buf []byte) {
 	}
 }
 
-// FuzzDecodeManifest drives the manifest decoder with arbitrary bytes: it
-// must never panic, Open's zone validation must not panic on whatever it
-// accepts, and the writer's encoding of an accepted manifest must decode
-// back to a manifest with the same encoding, so whatever a commit writes
-// is what Open reads. (Encoding normalizes, for one: an empty zones array
-// is omitted and reads back as none.)
+// FuzzDecodeManifest drives both manifest decoders — P3DMAN02 and the
+// read-only P3DMAN01 — with arbitrary bytes: neither may panic, and Open's
+// zone validation must not panic on whatever they accept. A P3DMAN02
+// manifest that decodes must be exactly the writer's encoding of what it
+// decodes to, and the writer's encoding of any accepted manifest must
+// decode back to one with the same encoding, so whatever a commit writes
+// is what Open reads. (A P3DMAN01 manifest the binary layout cannot hold —
+// a segment without zones, say — is one Open upgrades by decoding.)
 func FuzzDecodeManifest(f *testing.F) {
 	man, _ := fuzzStoreFiles(f)
-	if m, err := decodeManifest(man); err != nil || len(m.Segments) != 2 || m.Tail == nil || m.DictLen == 0 {
+	m, err := decodeManifest(man)
+	if err != nil || len(m.Segments) != 2 || m.Tail == nil || m.DictLen == 0 || m.v1 {
 		f.Fatalf("seed manifest: %+v, %v", m, err)
 	}
-	flipped := append([]byte(nil), man...)
-	flipped[len(flipped)-1] ^= 0x40
-	if _, err := decodeManifest(flipped); err == nil {
-		f.Fatalf("a manifest whose CRC footer is flipped decodes")
+	v1 := encodeManifestV1(f, m)
+	if m1, err := decodeManifest(v1); err != nil || !m1.v1 || len(m1.Segments) != 2 {
+		f.Fatalf("seed P3DMAN01 manifest: %+v, %v", m1, err)
 	}
-	addCorruptions(f, man)
+	for _, seed := range [][]byte{man, v1} {
+		flipped := append([]byte(nil), seed...)
+		flipped[len(flipped)-1] ^= 0x40
+		if _, err := decodeManifest(flipped); err == nil {
+			f.Fatalf("a %s manifest whose CRC footer is flipped decodes", seed[:len(manifestMagic)])
+		}
+		addCorruptions(f, seed)
+	}
 	f.Add([]byte{})
 	for _, payload := range []string{
 		`{"segments":[{"file":"x","zones":[]}]}`,
 		`{"seg_size":0,"shards":16,"segments":[]}`, // a size no store seals
 	} {
-		raw := binary.LittleEndian.AppendUint32([]byte(manifestMagic), uint32(len(payload)))
+		raw := binary.LittleEndian.AppendUint32([]byte(manifestMagicV1), uint32(len(payload)))
 		raw = binary.LittleEndian.AppendUint32(append(raw, payload...), crc32.ChecksumIEEE([]byte(payload)))
+		f.Add(raw)
+	}
+	m.SegSize = 0
+	m.Tail = nil
+	if raw, err := encodeManifest(m); err == nil {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -330,15 +344,18 @@ func FuzzDecodeManifest(f *testing.F) {
 			_ = validateZones(&m.Segments[i], len(m.Attrs))
 		}
 		re, err := encodeManifest(m)
+		if !m.v1 && (err != nil || !bytes.Equal(re, raw)) {
+			t.Fatalf("an accepted P3DMAN02 manifest is not the writer's encoding of it (%v)", err)
+		}
 		if err != nil {
-			return // e.g. an attribute the schema cannot marshal
+			return
 		}
 		m2, err := decodeManifest(re)
 		if err != nil {
 			t.Fatalf("re-encoded manifest does not decode: %v", err)
 		}
 		if re2, err := encodeManifest(m2); err != nil || !bytes.Equal(re, re2) {
-			t.Fatalf("the writer's manifest reads back as a different one:\n%s\n%s (%v)", re, re2, err)
+			t.Fatalf("the writer's manifest reads back as a different one (%v)", err)
 		}
 	})
 }

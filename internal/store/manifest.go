@@ -26,27 +26,55 @@ import (
 //	TAIL-000000000S   open-tail rows at commit S (tailMagic block file)
 //	MANIFEST-000000000S  commit S
 //
-// A manifest file is: 8-byte magic "P3DMAN01", u32 payload length, JSON
-// payload, u32 CRC-32 of the payload. Commits write the manifest to a temp
-// file, fsync it, atomically rename it to its sequence name, and fsync the
-// directory — so a manifest either exists completely or not at all, and
-// every file it references was fsync'd before the rename. Recovery (Open)
-// walks manifests newest-first and adopts the first one whose own checksum
-// verifies and whose referenced files check out (see validateManifest);
-// anything newer is a torn or corrupted commit and is deleted, and Open's
-// commit sweeps the files no kept manifest references (the torn tail of a
-// crashed ingest, temp files). The two newest manifests are kept after
-// each commit so external corruption of the newest still leaves a valid
-// fallback; every other commit removes the manifest and tail file it
-// supersedes by name, without listing the directory.
+// A manifest file is binary, little-endian like the block files:
+//
+//	magic       8B  "P3DMAN02"
+//	seg_size    i64
+//	shards      i64
+//	epoch       u64
+//	version     u64
+//	dict_len    i64 committed dictionary entries
+//	dict_bytes  i64 committed DICT prefix length
+//	dict_crc    u32 CRC-32 of that prefix
+//	nattrs      u32, then per attribute: role u8, kind u8, name str,
+//	            ncats u32, ncats × str (a str is a u32 length and its bytes)
+//	nsegs       u32, then per segment one fixed-width record:
+//	              ord u32 (the file is segFileName(ord)), rows i64,
+//	              size i64, crc u32, decoded i64, and nattrs zone maps as
+//	              the IEEE-754 bit patterns of [min, max] (2 × u64)
+//	tail        u8 0 (none) or 1, then seq u64 (the file is
+//	            tailFileName(seq)), rows i64, size i64, crc u32
+//	crc         u32 CRC-32 (IEEE) over everything before it
+//
+// Every field has one encoding, so a manifest that decodes re-encodes to
+// its own bytes. Manifests written before this layout ("P3DMAN01": u32
+// payload length, JSON payload, u32 CRC-32 of the payload) are still read
+// and never written: the first commit after opening one writes P3DMAN02.
+//
+// Commits write the manifest to a temp file, fsync it, atomically rename
+// it to its sequence name, and fsync the directory — so a manifest either
+// exists completely or not at all, and every file it references was
+// fsync'd before the rename. Recovery (Open) walks manifests newest-first
+// and adopts the first one whose own checksum verifies and whose
+// referenced files check out (see validateManifest); anything newer is a
+// torn or corrupted commit and is deleted, and Open's commit sweeps the
+// files no kept manifest references (the torn tail of a crashed ingest,
+// temp files) using the listing recovery made. The two newest manifests
+// are kept after each commit so external corruption of the newest still
+// leaves a valid fallback; every other commit removes the manifest and
+// tail file it supersedes by name, without listing the directory.
 const (
-	manifestMagic  = "P3DMAN01"
-	manifestPrefix = "MANIFEST-"
-	segPrefix      = "SEG-"
-	tailPrefix     = "TAIL-"
-	dictFileName   = "DICT"
-	lockFileName   = "LOCK"
-	tmpInfix       = ".tmp" // in the name of every file a write has yet to rename
+	manifestMagic   = "P3DMAN02"
+	manifestMagicV1 = "P3DMAN01"
+	manifestPrefix  = "MANIFEST-"
+	segPrefix       = "SEG-"
+	tailPrefix      = "TAIL-"
+	dictFileName    = "DICT"
+	lockFileName    = "LOCK"
+	tmpInfix        = ".tmp" // in the name of every file a write has yet to rename
+
+	segNameDigits  = 8  // SEG-%08d
+	tailNameDigits = 10 // TAIL-%010d
 )
 
 // manifestBlock describes one committed block file (sealed segment or
@@ -55,8 +83,10 @@ const (
 // accounts, unknowable from the file size alone because NaN counts change
 // index shapes), and — for sealed segments — one zone map per schema
 // column as the IEEE-754 bit patterns of [min, max], so −0, ±Inf and the
-// empty zone of an all-NaN column round-trip exactly (JSON numbers cannot
-// carry ±Inf). Manifests written before zones were persisted omit them.
+// empty zone of an all-NaN column round-trip exactly. A P3DMAN02 manifest
+// records both for every segment, in dictionary-coded terms; P3DMAN01
+// manifests written before zones were persisted omit the zones, and
+// older ones record the footprint of a SEG v1 or v2 layout.
 type manifestBlock struct {
 	File    string      `json:"file"`
 	Rows    int         `json:"rows"`
@@ -65,10 +95,13 @@ type manifestBlock struct {
 	Decoded int64       `json:"decoded,omitempty"`
 	Zones   [][2]uint64 `json:"zones,omitempty"`
 
-	// legacy is set by validation when the file is a SEG v1 or v2
-	// segment, whose recorded Decoded is the footprint of the raw columns
-	// and 32-bit indexes those formats decoded to.
+	// legacy is set by validation of a P3DMAN01 manifest when the file is
+	// a SEG v1 or v2 segment, whose recorded Decoded is the footprint of
+	// the raw columns and 32-bit indexes those formats decoded to.
 	legacy bool
+	// buf holds a tail file's bytes, read and checksummed by validation,
+	// for Open to decode.
+	buf []byte
 }
 
 // encodeZones converts a segment's zone maps to their manifest form.
@@ -104,13 +137,32 @@ type manifest struct {
 	DictCRC   uint32              `json:"dict_crc"`   // CRC-32 of that prefix
 	Segments  []manifestBlock     `json:"segments"`
 	Tail      *manifestBlock      `json:"tail,omitempty"`
+
+	// v1 is set when the manifest was read from a P3DMAN01 file, whose
+	// segments may lack zones or be accounted in a SEG v1 or v2 layout.
+	v1 bool
+	// dict holds the committed DICT prefix, read and checksummed by
+	// validation, for Open to decode.
+	dict []byte
 }
 
-func segFileName(ord int) string { return fmt.Sprintf("%s%08d", segPrefix, ord) }
+func segFileName(ord int) string { return fmt.Sprintf("%s%0*d", segPrefix, segNameDigits, ord) }
 
-func tailFileName(seq uint64) string { return fmt.Sprintf("%s%010d", tailPrefix, seq) }
+func tailFileName(seq uint64) string { return fmt.Sprintf("%s%0*d", tailPrefix, tailNameDigits, seq) }
 
 func manifestFileName(seq uint64) string { return fmt.Sprintf("%s%010d", manifestPrefix, seq) }
+
+// nameNumber parses the number in a file name that the writer formats as
+// prefix and the number zero-padded to digits; ok is false for any name
+// it would not have written.
+func nameNumber(name, prefix string, digits int) (n uint64, ok bool) {
+	num, ok := strings.CutPrefix(name, prefix)
+	if !ok || len(num) < digits || len(num) > digits && num[0] == '0' {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(num, 10, 64)
+	return n, err == nil
+}
 
 // manifestSeq parses the sequence number out of a manifest file name.
 func manifestSeq(name string) (uint64, bool) {
@@ -121,21 +173,37 @@ func manifestSeq(name string) (uint64, bool) {
 	return n, err == nil
 }
 
-// listManifests returns the manifest sequence numbers present in dir,
-// newest first.
-func listManifests(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+// listDir returns the names of the entries in dir, unsorted.
+func listDir(dir string) ([]string, error) {
+	f, err := os.Open(dir)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	return f.Readdirnames(-1)
+}
+
+// manifestSeqs returns the manifest sequence numbers among names, newest
+// first.
+func manifestSeqs(names []string) []uint64 {
 	var seqs []uint64
-	for _, e := range ents {
-		if seq, ok := manifestSeq(e.Name()); ok {
+	for _, name := range names {
+		if seq, ok := manifestSeq(name); ok {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(a, b int) bool { return seqs[a] > seqs[b] })
-	return seqs, nil
+	return seqs
+}
+
+// listManifests returns the manifest sequence numbers present in dir,
+// newest first.
+func listManifests(dir string) ([]uint64, error) {
+	names, err := listDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return manifestSeqs(names), nil
 }
 
 // writeManifest commits m as sequence seq: temp write + fsync + atomic
@@ -167,17 +235,83 @@ func writeManifest(dir string, seq uint64, m *manifest) error {
 	return syncDir(dir)
 }
 
-// encodeManifest renders m as the bytes of a manifest file.
+// segRecordSize is the width of one segment record of a P3DMAN02
+// manifest over ncols columns.
+func segRecordSize(ncols int) int { return 4 + 8 + 8 + 4 + 8 + 16*ncols }
+
+// encodeManifest renders m as the bytes of a P3DMAN02 manifest file. It
+// fails on what the layout cannot hold: a segment without one zone map per
+// column, a block file name the writer would not have given, a role or
+// kind past a byte.
 func encodeManifest(m *manifest) ([]byte, error) {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
+	le := binary.LittleEndian
+	size := len(manifestMagic) + 6*8 + 4 + 4 + 4 + len(m.Segments)*segRecordSize(len(m.Attrs)) + 1 + 28 + 4
+	for _, a := range m.Attrs {
+		size += 10 + len(a.Name)
+		for _, c := range a.Categories {
+			size += 4 + len(c)
+		}
 	}
-	buf := make([]byte, 0, len(manifestMagic)+8+len(payload))
+	buf := make([]byte, 0, size)
 	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), nil
+	buf = le.AppendUint64(buf, uint64(m.SegSize))
+	buf = le.AppendUint64(buf, uint64(m.Shards))
+	buf = le.AppendUint64(buf, m.Epoch)
+	buf = le.AppendUint64(buf, m.Version)
+	buf = le.AppendUint64(buf, uint64(m.DictLen))
+	buf = le.AppendUint64(buf, uint64(m.DictBytes))
+	buf = le.AppendUint32(buf, m.DictCRC)
+	buf = le.AppendUint32(buf, uint32(len(m.Attrs)))
+	for _, a := range m.Attrs {
+		if a.Role < 0 || a.Role > math.MaxUint8 || a.Kind < 0 || a.Kind > math.MaxUint8 {
+			return nil, fmt.Errorf("store: attribute %q: role %d or kind %d does not fit the manifest", a.Name, a.Role, a.Kind)
+		}
+		buf = append(buf, byte(a.Role), byte(a.Kind))
+		buf = appendStr(buf, a.Name)
+		buf = le.AppendUint32(buf, uint32(len(a.Categories)))
+		for _, c := range a.Categories {
+			buf = appendStr(buf, c)
+		}
+	}
+	buf = le.AppendUint32(buf, uint32(len(m.Segments)))
+	for i := range m.Segments {
+		b := &m.Segments[i]
+		ord, ok := nameNumber(b.File, segPrefix, segNameDigits)
+		if !ok || ord > math.MaxUint32 {
+			return nil, fmt.Errorf("store: %q is not a segment file name", b.File)
+		}
+		if len(b.Zones) != len(m.Attrs) {
+			return nil, fmt.Errorf("store: %s: %d zone maps, schema has %d columns", b.File, len(b.Zones), len(m.Attrs))
+		}
+		buf = le.AppendUint32(buf, uint32(ord))
+		buf = le.AppendUint64(buf, uint64(b.Rows))
+		buf = le.AppendUint64(buf, uint64(b.Size))
+		buf = le.AppendUint32(buf, b.CRC)
+		buf = le.AppendUint64(buf, uint64(b.Decoded))
+		for _, z := range b.Zones {
+			buf = le.AppendUint64(buf, z[0])
+			buf = le.AppendUint64(buf, z[1])
+		}
+	}
+	if t := m.Tail; t == nil {
+		buf = append(buf, 0)
+	} else {
+		seq, ok := nameNumber(t.File, tailPrefix, tailNameDigits)
+		if !ok {
+			return nil, fmt.Errorf("store: %q is not a tail file name", t.File)
+		}
+		buf = append(buf, 1)
+		buf = le.AppendUint64(buf, seq)
+		buf = le.AppendUint64(buf, uint64(t.Rows))
+		buf = le.AppendUint64(buf, uint64(t.Size))
+		buf = le.AppendUint32(buf, t.CRC)
+	}
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
+// appendStr appends a manifest string: its u32 length, then its bytes.
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(buf, uint32(len(s))), s...)
 }
 
 // readManifest reads and decodes one manifest file.
@@ -193,14 +327,27 @@ func readManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-// decodeManifest parses and checksum-verifies the bytes of one manifest
-// file.
+// decodeManifest checksum-verifies and parses the bytes of one manifest
+// file of either layout.
 func decodeManifest(raw []byte) (*manifest, error) {
-	if len(raw) < len(manifestMagic)+8 || string(raw[:len(manifestMagic)]) != manifestMagic {
+	if len(raw) >= len(manifestMagic) {
+		switch string(raw[:len(manifestMagic)]) {
+		case manifestMagic:
+			return decodeManifestV2(raw)
+		case manifestMagicV1:
+			return decodeManifestV1(raw)
+		}
+	}
+	return nil, fmt.Errorf("not a manifest")
+}
+
+// decodeManifestV1 parses a P3DMAN01 (JSON) manifest.
+func decodeManifestV1(raw []byte) (*manifest, error) {
+	if len(raw) < len(manifestMagicV1)+8 {
 		return nil, fmt.Errorf("not a manifest")
 	}
-	n := binary.LittleEndian.Uint32(raw[len(manifestMagic):])
-	body := raw[len(manifestMagic)+4:]
+	n := binary.LittleEndian.Uint32(raw[len(manifestMagicV1):])
+	body := raw[len(manifestMagicV1)+4:]
 	if uint32(len(body)) != n+4 {
 		return nil, fmt.Errorf("truncated manifest (%d payload bytes, header says %d)", len(body)-4, n)
 	}
@@ -208,48 +355,183 @@ func decodeManifest(raw []byte) (*manifest, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("manifest checksum mismatch")
 	}
-	var m manifest
-	if err := json.Unmarshal(payload, &m); err != nil {
+	m := &manifest{v1: true}
+	if err := json.Unmarshal(payload, m); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+// manifestReader reads a P3DMAN02 body field by field out of a
+// blockReader, which never reads into the CRC footer. Its first error
+// sticks and every later read returns zero, so a decoder checks err once.
+type manifestReader struct {
+	br  blockReader
+	err error
+}
+
+func (r *manifestReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	p, err := r.br.take(n)
+	r.err = err
+	return p
+}
+
+func (r *manifestReader) u8() uint8 {
+	if p := r.take(1); r.err == nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *manifestReader) u32() uint32 {
+	if p := r.take(4); r.err == nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *manifestReader) u64() uint64 {
+	if p := r.take(8); r.err == nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *manifestReader) i64() int64 { return int64(r.u64()) }
+
+func (r *manifestReader) str() string { return string(r.take(int(r.u32()))) }
+
+// count reads a u32 element count and fails it unless that many elements
+// of at least width bytes each fit in what is left, so a corrupt count
+// cannot size an allocation.
+func (r *manifestReader) count(width int) int {
+	n := int(r.u32())
+	if r.err == nil && n*width > len(r.br.buf)-4-r.br.off {
+		r.err = fmt.Errorf("store: manifest: %d entries of %d bytes overrun the file", n, width)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// decodeManifestV2 parses a P3DMAN02 (binary) manifest.
+func decodeManifestV2(raw []byte) (*manifest, error) {
+	if len(raw) < len(manifestMagic)+4 {
+		return nil, fmt.Errorf("truncated manifest (%d bytes)", len(raw))
+	}
+	if crc32.ChecksumIEEE(raw[:len(raw)-4]) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
+		return nil, fmt.Errorf("manifest checksum mismatch")
+	}
+	r := &manifestReader{br: blockReader{buf: raw, off: len(manifestMagic), name: "manifest"}}
+	m := &manifest{
+		SegSize:   int(r.i64()),
+		Shards:    int(r.i64()),
+		Epoch:     r.u64(),
+		Version:   r.u64(),
+		DictLen:   int(r.i64()),
+		DictBytes: r.i64(),
+		DictCRC:   r.u32(),
+	}
+	m.Attrs = make([]dataset.Attribute, r.count(10))
+	for j := range m.Attrs {
+		a := &m.Attrs[j]
+		a.Role, a.Kind = dataset.Role(r.u8()), dataset.Kind(r.u8())
+		a.Name = r.str()
+		if n := r.count(4); n > 0 {
+			a.Categories = make([]string, n)
+			for k := range a.Categories {
+				a.Categories[k] = r.str()
+			}
+		}
+	}
+	ncols := len(m.Attrs)
+	m.Segments = make([]manifestBlock, r.count(segRecordSize(ncols)))
+	zones := make([][2]uint64, len(m.Segments)*ncols)
+	for i := range m.Segments {
+		b := &m.Segments[i]
+		b.File = segFileName(int(r.u32()))
+		b.Rows, b.Size, b.CRC, b.Decoded = int(r.i64()), r.i64(), r.u32(), r.i64()
+		b.Zones = zones[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		for j := range b.Zones {
+			b.Zones[j] = [2]uint64{r.u64(), r.u64()}
+		}
+	}
+	switch r.u8() {
+	case 0:
+	case 1:
+		m.Tail = &manifestBlock{File: tailFileName(r.u64()), Rows: int(r.i64()), Size: r.i64(), CRC: r.u32()}
+	default:
+		if r.err == nil {
+			r.err = fmt.Errorf("store: manifest: bad tail flag")
+		}
+	}
+	if r.err == nil {
+		r.err = r.br.end()
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return m, nil
 }
 
 // validateManifest checks the manifest's segment size (checkSegmentSize:
 // a size a store could never have sealed would otherwise open as the
-// default and fail every row-count check) and every file the manifest
-// references. Sealed segment files are checked for existence and exact
-// size only, and their magic is read to note SEG v1 and v2: their
-// checksums are verified on every read (fileSource.Load), where the bytes
-// are in memory anyway, so Open does not read the dataset. The tail file and the committed DICT prefix,
-// which Open reads in full, are checksummed here, so a torn tail or
-// dictionary fails the commit and recovery falls back to the previous one.
+// default and fail every row-count check), the names of the files it
+// references, and the files themselves. A sealed segment file is checked
+// for existence and exact size only, with one stat: its checksum is
+// verified on every read (fileSource.Load), where the bytes are in memory
+// anyway, so Open reads no segment. Only a P3DMAN01 manifest has each
+// segment file's magic read, to note SEG v1 and v2, whose footprints it
+// records in their own layouts; a P3DMAN02 manifest records every one in
+// dictionary-coded terms. The tail file and the committed DICT prefix,
+// which Open decodes in full, are read and checksummed here, and their
+// bytes kept for Open, so a torn tail or dictionary fails the commit and
+// recovery falls back to the previous one.
 func validateManifest(dir string, m *manifest) error {
 	if err := checkSegmentSize(m.SegSize); err != nil {
 		return err
 	}
 	for i := range m.Segments {
 		b := &m.Segments[i]
+		if n, ok := nameNumber(b.File, segPrefix, segNameDigits); !ok || n != uint64(i) {
+			return fmt.Errorf("store: segment %d is named %q", i, b.File)
+		}
 		if err := validateZones(b, len(m.Attrs)); err != nil {
 			return err
 		}
-		if err := validateSegmentFile(dir, b); err != nil {
+		path := filepath.Join(dir, b.File)
+		if err := checkSize(path, b.Size); err != nil {
 			return err
+		}
+		if m.v1 {
+			if err := noteLegacySegment(path, b); err != nil {
+				return err
+			}
 		}
 	}
-	if m.Tail != nil {
-		if err := validateTailFile(dir, m.Tail); err != nil {
+	if t := m.Tail; t != nil {
+		if _, ok := nameNumber(t.File, tailPrefix, tailNameDigits); !ok {
+			return fmt.Errorf("store: the tail is named %q", t.File)
+		}
+		buf, err := readChecked(filepath.Join(dir, t.File), t.Size, true, t.CRC)
+		if err != nil {
 			return err
 		}
+		t.buf = buf
+	}
+	if m.DictBytes < 0 {
+		return fmt.Errorf("store: dictionary prefix of %d bytes", m.DictBytes)
 	}
 	if m.DictBytes > 0 {
-		crc, err := fileCRC(filepath.Join(dir, dictFileName), m.DictBytes)
+		buf, err := readChecked(filepath.Join(dir, dictFileName), m.DictBytes, false, m.DictCRC)
 		if err != nil {
 			return fmt.Errorf("store: dictionary: %w", err)
 		}
-		if crc != m.DictCRC {
-			return fmt.Errorf("store: dictionary checksum mismatch over committed prefix")
-		}
+		m.dict = buf
 	}
 	return nil
 }
@@ -274,13 +556,9 @@ func validateZones(b *manifestBlock, cols int) error {
 	return nil
 }
 
-// validateSegmentFile checks that b's segment file has its recorded size
-// and notes from its magic whether it is a SEG v1 or v2 segment.
-func validateSegmentFile(dir string, b *manifestBlock) error {
-	path := filepath.Join(dir, b.File)
-	if err := checkSize(path, b.Size); err != nil {
-		return err
-	}
+// noteLegacySegment reads the magic of the segment file at path and notes
+// in b whether it is a SEG v1 or v2 segment.
+func noteLegacySegment(path string, b *manifestBlock) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -294,20 +572,30 @@ func validateSegmentFile(dir string, b *manifestBlock) error {
 	return nil
 }
 
-// validateTailFile checks the tail file against its recorded size and CRC.
-func validateTailFile(dir string, b *manifestBlock) error {
-	path := filepath.Join(dir, b.File)
-	if err := checkSize(path, b.Size); err != nil {
-		return err
-	}
-	crc, err := fileCRC(path, b.Size)
+// readChecked reads the first size bytes of the file at path — which must
+// hold exactly size bytes when exact is set, and at least size otherwise —
+// and fails unless their CRC-32 is crc.
+func readChecked(path string, size int64, exact bool, crc uint32) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if crc != b.CRC {
-		return fmt.Errorf("store: %s: checksum mismatch", path)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if fi.Size() != size && (exact || fi.Size() < size || size < 0) {
+		return nil, fmt.Errorf("store: %s: size %d, manifest says %d", path, fi.Size(), size)
+	}
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	if crc32.ChecksumIEEE(buf) != crc {
+		return nil, fmt.Errorf("store: %s: checksum mismatch", path)
+	}
+	return buf, nil
 }
 
 // checkSize fails unless the file at path has exactly size bytes.
@@ -324,15 +612,17 @@ func checkSize(path string, size int64) error {
 
 // recoverManifest picks the newest fully-valid manifest in dir, deleting
 // any newer (torn or corrupted) ones so they can never shadow the adopted
-// state, and returns its sequence number. An error naming the first
-// failure is returned when no manifest validates.
-func recoverManifest(dir string) (*manifest, uint64, error) {
-	seqs, err := listManifests(dir)
+// state, and returns it with its sequence number and the directory
+// listing it recovered from. An error naming the first failure is
+// returned when no manifest validates.
+func recoverManifest(dir string) (*manifest, uint64, []string, error) {
+	names, err := listDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
+	seqs := manifestSeqs(names)
 	if len(seqs) == 0 {
-		return nil, 0, fmt.Errorf("store: no manifest in %s", dir)
+		return nil, 0, nil, fmt.Errorf("store: no manifest in %s", dir)
 	}
 	var firstErr error
 	for _, seq := range seqs {
@@ -355,23 +645,18 @@ func recoverManifest(dir string) (*manifest, uint64, error) {
 				os.Remove(filepath.Join(dir, manifestFileName(bad)))
 			}
 		}
-		return m, seq, nil
+		return m, seq, names, nil
 	}
-	return nil, 0, fmt.Errorf("store: no valid manifest in %s: %w", dir, firstErr)
+	return nil, 0, nil, fmt.Errorf("store: no valid manifest in %s: %w", dir, firstErr)
 }
 
-// sweepOrphans removes data files referenced by neither of the kept
-// manifests: segment files at ordinals past the committed list (torn
-// seals), tail files from superseded commits, and the temp files of writes
-// a crash or an error cut short. Best-effort — a failure leaves garbage,
-// never breaks state.
-func sweepOrphans(dir string, keep map[string]bool, committedSegs int) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
+// sweepOrphans removes the data files among names, a listing of dir,
+// that neither of the kept manifests references: segment files at
+// ordinals past the committed list (torn seals), tail files from
+// superseded commits, and the temp files of writes a crash or an error
+// cut short. Best-effort — a failure leaves garbage, never breaks state.
+func sweepOrphans(dir string, names []string, keep map[string]bool, committedSegs int) {
+	for _, name := range names {
 		switch {
 		case strings.Contains(name, tmpInfix):
 			os.Remove(filepath.Join(dir, name))

@@ -40,6 +40,7 @@ type segment struct {
 	data atomic.Pointer[segData]
 
 	// lastUse orders eviction: the tier's use clock at the last acquire.
+	// Only a store with a memory cap evicts, so only its acquires stamp it.
 	lastUse atomic.Int64
 }
 
@@ -97,7 +98,7 @@ var ErrUnreadable = errors.New("store: sealed segment unreadable")
 // ErrUnreadable and leaves the segment spilled, so every later acquire
 // reads and verifies the file again.
 func (sg *segment) acquire() (*segData, error) {
-	if sg.tier != nil {
+	if sg.tier != nil && sg.tier.memCap > 0 { // only eviction under a cap reads the stamp
 		sg.lastUse.Store(sg.tier.useClock.Add(1))
 	}
 	if d := sg.data.Load(); d != nil {

@@ -3,6 +3,8 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"math"
 	"os"
@@ -105,6 +107,19 @@ func encodeSegV2(t testing.TB, base int, d *segData) []byte {
 
 func encodeSegV1(t testing.TB, base int, d *segData) []byte { return encodeSegLegacy(t, base, d, true) }
 
+// encodeManifestV1 renders m as a P3DMAN01 manifest file, the layout
+// writers used before P3DMAN02: the magic, the u32 payload length, the
+// JSON payload and the u32 CRC-32 of the payload.
+func encodeManifestV1(t testing.TB, m *manifest) []byte {
+	t.Helper()
+	payload, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := binary.LittleEndian.AppendUint32([]byte(manifestMagicV1), uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(append(buf, payload...), crc32.ChecksumIEEE(payload))
+}
+
 // legacyFootprint is the decoded footprint a SEG v2 writer (or, with v1,
 // a SEG v1 writer) recorded for d: raw 8-byte values and 4-byte
 // permutation or NaN entries per numeric row, 4-byte codes and
@@ -129,9 +144,9 @@ func legacyFootprint(d *segData, v1 bool) int64 {
 
 // downgradeSegments rewrites each sealed segment file the newest manifest
 // references in the format format(ord) gives it and recommits the
-// manifest with the new sizes and checksums, and with the decoded
-// footprints that format's writer recorded, as an older writer would have
-// left the directory.
+// manifest as P3DMAN01 (rewriteNewestManifest) with the new sizes and
+// checksums, and with the decoded footprints that format's writer
+// recorded, as an older writer would have left the directory.
 func downgradeSegments(t *testing.T, dir string, format func(ord int) segFormat) {
 	t.Helper()
 	rewriteNewestManifest(t, dir, func(m *manifest) {
@@ -327,6 +342,79 @@ func TestV1SegmentsReaccountedAtOpen(t *testing.T) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
+// TestUpgradeCommitsBinaryManifest opens a directory an older writer left
+// — SEG v1, v2 and v3 files under a P3DMAN01 manifest with the older
+// footprints — and checks the upgrade: Open answers byte-identically and
+// commits P3DMAN02 with the dictionary-coded footprints and the zones, and
+// the next Open takes both from that manifest without decoding a segment
+// (no spilled read until a query touches one).
+func TestUpgradeCommitsBinaryManifest(t *testing.T) {
+	dir := t.TempDir()
+	s := createPersistStore(t, dir, persistTestRows, Options{})
+	want := queryFingerprint(t, s.Snapshot())
+	var wantZones [][]zone
+	var wantBytes []int64
+	for _, sg := range s.Snapshot().segs {
+		wantZones = append(wantZones, sg.zones)
+		wantBytes = append(wantBytes, sg.mustAcquire().footprint())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	downgradeSegments(t, dir, mixedFormat)
+	if got := manifestMagicOf(t, dir); got != manifestMagicV1 {
+		t.Fatalf("downgraded directory has a %q manifest", got)
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open over P3DMAN01: %v", err)
+	}
+	if r.TierStats().PagerMisses == 0 {
+		t.Errorf("Open over P3DMAN01 and SEG v1/v2 files decoded no segment")
+	}
+	if got := manifestMagicOf(t, dir); got != manifestMagic {
+		t.Errorf("Open over P3DMAN01 committed a %q manifest, want %q", got, manifestMagic)
+	}
+	if got := queryFingerprint(t, r.Snapshot()); !fingerprintsEqual(got, want) {
+		t.Errorf("answers after the upgrade differ")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, opts := range []Options{{}, {MemCap: 1}} {
+		r, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen upgraded directory: %v", err)
+		}
+		if got := r.TierStats().PagerMisses; got != 0 {
+			t.Errorf("MemCap %d: reopen made %d spilled reads, want 0", opts.MemCap, got)
+		}
+		for i, sg := range r.Snapshot().segs {
+			if sg.bytes != wantBytes[i] {
+				t.Errorf("MemCap %d: segment %d (%s) accounts %d bytes, want %d", opts.MemCap, i, mixedFormat(i).magic(), sg.bytes, wantBytes[i])
+			}
+			for j, z := range sg.zones {
+				if !z.identical(wantZones[i][j]) {
+					t.Errorf("MemCap %d: segment %d column %d zone %v, want %v", opts.MemCap, i, j, z, wantZones[i][j])
+				}
+			}
+		}
+		if got := queryFingerprint(t, r.Snapshot()); !fingerprintsEqual(got, want) {
+			t.Errorf("MemCap %d: answers after reopening the upgraded directory differ", opts.MemCap)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ord := range wantBytes {
+		if got := segFileMagic(t, dir, ord); got != mixedFormat(ord).magic() {
+			t.Errorf("segment %d magic %q: the upgrade rewrote a segment file", ord, got)
 		}
 	}
 }

@@ -181,6 +181,9 @@ type Store struct {
 	// the two kept manifests do not reference (sweepLocked); set for the
 	// commits of Open and Create and after a commit that failed.
 	sweep bool
+	// listing is the directory listing Open recovered from, which its
+	// commit's sweep uses instead of listing again; nil otherwise.
+	listing []string
 
 	shardState
 

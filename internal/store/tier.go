@@ -61,7 +61,7 @@ type tierState struct {
 	attrs   []dataset.Attribute
 	segSize int
 
-	useClock      atomic.Int64 // logical clock stamping acquires (LRU order)
+	useClock      atomic.Int64 // logical clock stamping acquires under a memory cap (LRU order)
 	residentBytes atomic.Int64 // decoded bytes admitted to the resident tier
 	residentSegs  atomic.Int64
 	spilledSegs   atomic.Int64
@@ -311,23 +311,24 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // Open recovers the store committed in dir: it adopts the newest manifest
 // whose checksum verifies and whose files check out — each segment file's
 // size, the tail file's and the dictionary prefix's checksums (deleting
-// torn newer ones) — loads the committed dictionary prefix and tail, and
-// registers every sealed segment as spilled, with the zone maps the
-// manifest records — decoded forms come back one checksum-verified file
-// read at a time as queries touch them. A manifest written before zone
-// maps were persisted has them filled by decoding each segment once, and
-// a SEG v1 or v2 file is decoded once to account the footprint its
-// dictionary-coded form holds; those decodes check the CRC too, so a
-// corrupt one fails Open. The epoch is bumped and committed before the
-// store is returned, so snapshot versions from this incarnation can never
-// collide with versions any previous incarnation may have handed out
-// after its last commit.
+// torn newer ones) — decodes the dictionary prefix and tail bytes that
+// validation read, and registers every sealed segment as spilled, with
+// the zone maps and footprint the manifest records — decoded forms come
+// back one checksum-verified file read at a time as queries touch them.
+// Open of a P3DMAN02 manifest reads no segment file. Under a P3DMAN01
+// manifest, one written before zone maps were persisted has them filled
+// by decoding each segment once, and a SEG v1 or v2 file is decoded once
+// to account the footprint its dictionary-coded form holds; those decodes
+// check the CRC too, so a corrupt one fails Open. The epoch is bumped and
+// committed (as P3DMAN02) before the store is returned, so snapshot
+// versions from this incarnation can never collide with versions any
+// previous incarnation may have handed out after its last commit.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	m, seq, err := recoverManifest(dir)
+	m, seq, names, err := recoverManifest(dir)
 	if err != nil {
 		lockF.Close()
 		return nil, err
@@ -346,6 +347,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.epoch = m.Epoch + 1
 	s.version = s.epoch << 32
 	s.sweep = true
+	s.listing = names // the directory is locked: the sweep needs no fresh listing
 	fail := func(err error) (*Store, error) {
 		s.tier.close()
 		lockF.Close()
@@ -380,12 +382,13 @@ func Open(dir string, opts Options) (*Store, error) {
 			src:   src,
 		}
 		if sg.zones == nil || b.legacy {
-			// A manifest from before zone maps were persisted, or a SEG v1
-			// or v2 file, whose recorded footprint is that of the raw
-			// columns and 32-bit indexes those formats decoded to: decode
-			// once so this Open's commit records the zones and the
-			// footprint of the dictionary-coded form. Zones the manifest
-			// does record must match the decode.
+			// A P3DMAN01 manifest from before zone maps were persisted, or
+			// a SEG v1 or v2 file under a P3DMAN01 manifest, whose
+			// recorded footprint is that of the raw columns and 32-bit
+			// indexes those formats decoded to: decode once so this Open's
+			// commit records, as P3DMAN02, the zones and the footprint of
+			// the dictionary-coded form. Zones the manifest does record
+			// must match the decode.
 			load := sg.load
 			if sg.zones == nil {
 				load = src.Load
@@ -404,7 +407,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.tier.spilledSegs.Store(int64(len(segs)))
 	gSegSpilled.Add(int64(len(segs)))
 
-	// Open tail: decoded directly (it is at most one segment of rows).
+	// Open tail: decoded from the bytes validation checksummed (it is at
+	// most one segment of rows).
 	if m.Tail != nil {
 		if err := s.loadTail(m.Tail); err != nil {
 			s.dictF.Close()
@@ -428,21 +432,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// loadDict reads the committed dictionary prefix and positions the file
-// for appends.
+// loadDict decodes the committed dictionary prefix validation read,
+// truncates any uncommitted suffix, and positions the file for appends.
 func (s *Store) loadDict(m *manifest) error {
-	if m.DictBytes > 0 {
-		buf := make([]byte, m.DictBytes)
-		if _, err := io.ReadFull(io.NewSectionReader(s.dictF, 0, m.DictBytes), buf); err != nil {
-			return fmt.Errorf("store: dictionary: %w", err)
-		}
-		strs, err := decodeDict(buf)
-		if err != nil {
-			return err
-		}
-		for _, str := range strs {
-			s.dict.intern(str)
-		}
+	strs, err := decodeDict(m.dict)
+	if err != nil {
+		return err
+	}
+	for _, str := range strs {
+		s.dict.intern(str)
 	}
 	if len(s.dict.strs) != m.DictLen {
 		return fmt.Errorf("store: dictionary has %d committed entries, manifest says %d", len(s.dict.strs), m.DictLen)
@@ -477,13 +475,10 @@ func decodeDict(buf []byte) ([]string, error) {
 	return strs, nil
 }
 
-// loadTail decodes the committed tail file into fresh tail buffers.
+// loadTail decodes the committed tail file's bytes, as validation read
+// them, into the tail buffers.
 func (s *Store) loadTail(b *manifestBlock) error {
-	buf, err := os.ReadFile(filepath.Join(s.tier.dir, b.File))
-	if err != nil {
-		return err
-	}
-	_, rows, nums, cats, err := decodeTail(&blockReader{buf: buf, name: b.File}, s.attrs)
+	_, rows, nums, cats, err := decodeTail(&blockReader{buf: b.buf, name: b.File}, s.attrs)
 	if err != nil {
 		return err
 	}
@@ -586,28 +581,36 @@ func (s *Store) commitLocked() error {
 	return nil
 }
 
-// sweepLocked lists the directory after the commit at seq and removes every
-// manifest but seq and its fallback, and every file neither references:
-// what crashed or failed commits and seals left behind. It runs in the
-// commits Open and Create make and in the first commit after one that
-// failed. Best-effort.
+// sweepLocked removes, after the commit at seq, every manifest but seq and
+// its fallback, and every file neither references: what crashed or failed
+// commits and seals left behind. It runs in the commits Open and Create
+// make and in the first commit after one that failed, and lists the
+// directory once — or, in Open's commit, not at all: it takes the listing
+// recovery made. The directory is locked, so a file missing from that
+// listing was written by Open's own commit and is kept. Best-effort.
 func (s *Store) sweepLocked(seq uint64) {
-	seqs, err := listManifests(s.tier.dir)
-	if err != nil {
-		s.sweep = true
-		return
+	names := s.listing
+	s.listing = nil
+	if names == nil {
+		var err error
+		if names, err = listDir(s.tier.dir); err != nil {
+			s.sweep = true
+			return
+		}
 	}
+	seqs := manifestSeqs(names)
+	fallback := prevManifestSeq(seqs, seq)
 	for _, old := range seqs {
-		if old < seq && old != s.prevManifestSeq(seqs, seq) {
+		if old < seq && old != fallback {
 			os.Remove(filepath.Join(s.tier.dir, manifestFileName(old)))
 		}
 	}
-	sweepOrphans(s.tier.dir, s.keepFiles(), len(s.segs))
+	sweepOrphans(s.tier.dir, names, s.keepFiles(), len(s.segs))
 }
 
 // prevManifestSeq returns the newest sequence below seq (the fallback
 // commit), or seq itself when none exists.
-func (s *Store) prevManifestSeq(seqs []uint64, seq uint64) uint64 {
+func prevManifestSeq(seqs []uint64, seq uint64) uint64 {
 	best := seq
 	for _, c := range seqs {
 		if c < seq && (best == seq || c > best) {

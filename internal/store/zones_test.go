@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,21 +66,23 @@ func zoneEdgeStore(t *testing.T, dir string, opts Options) *Store {
 }
 
 // rewriteNewestManifest applies edit to the newest committed manifest and
-// commits it back under the same sequence with a valid checksum, as a
-// writer with different zone-map behaviour would have.
+// commits it back under the same sequence with a valid checksum in the
+// P3DMAN01 layout, as an older writer — one with different zone-map or
+// footprint behaviour, or none — would have.
 func rewriteNewestManifest(t *testing.T, dir string, edit func(m *manifest)) {
 	t.Helper()
 	seqs, err := listManifests(dir)
 	if err != nil || len(seqs) == 0 {
 		t.Fatalf("listManifests: %v (%d found)", err, len(seqs))
 	}
-	m, err := readManifest(filepath.Join(dir, manifestFileName(seqs[0])))
+	path := filepath.Join(dir, manifestFileName(seqs[0]))
+	m, err := readManifest(path)
 	if err != nil {
 		t.Fatalf("readManifest: %v", err)
 	}
 	edit(m)
-	if err := writeManifest(dir, seqs[0], m); err != nil {
-		t.Fatalf("writeManifest: %v", err)
+	if err := os.WriteFile(path, encodeManifestV1(t, m), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
