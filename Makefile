@@ -59,29 +59,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench is the perf gate of the parallel engines: benchlinkage times the
-# linkage/MDAV hot paths on a 50k-row synthetic workload, benchpir times
-# the word-parallel PIR answer kernels (IT-PIR on a 64 MiB database, CPIR,
-# end-to-end RangeStats) across worker counts, benchserve drives a
-# Zipf query workload against the statistical server across client counts,
-# recording sustained QPS and p50/p99 latency, and benchstore compares the
-# statistical server's indexed path (cache disabled, so every query is a
-# miss) against the compiled row scan — store.Snapshot.EvalScan + Sum called
-# directly on the store — at 100k/1M rows, requiring ≥ 5× on selective
-# predicates at 1M plus a pinned-snapshot stability check under concurrent
-# ingest. All four hard-fail unless every parallel/cached/indexed/batched
-# result is byte-identical to the sequential/uncached/scan/per-query
-# reference (benchstore: indexed ≡ Query.Evaluate, Eval ≡ EvalScan
-# bitmaps), and record their trajectories in BENCH_linkage.json /
-# BENCH_pir.json / BENCH_serve.json / BENCH_store.json. On multi-core
-# machines benchpir and benchstore additionally require real worker scaling
-# (-minscaling 2: ≥ 2× at max workers vs workers=1); on a single CPU that
-# gate degrades to a warning recorded in the JSON.
+# bench times the parallel engines across worker counts — linkage/MDAV on
+# 50k synthetic rows, the word-parallel PIR kernels on a 64 MiB database,
+# and the statistical server's indexed path against the compiled row scan
+# at 100k and 1M rows — checks every timed output against its reference
+# (workers=1, the bytewise PIR kernel, the scan), and writes each gate's
+# measured value and verdict to BENCH_gates.json before exiting non-zero
+# on a failed gate. The timing gates: indexed ≥ 5× scan QPS on selective
+# predicates at 1M rows, and ≥ 2× at 8 workers vs 1 for the IT-PIR kernel
+# and the indexed path, enforced only on more than one CPU.
 bench:
-	$(GO) run ./cmd/benchlinkage -rows 50000 -workers 1,2,4,8 -out BENCH_linkage.json
-	$(GO) run ./cmd/benchpir -blocks 65536 -blocksize 1024 -workers 1,2,4,8 -minscaling 2 -out BENCH_pir.json
-	$(GO) run ./cmd/benchserve -rows 20000 -queries 512 -clients 1,2,8 -duration 1s -out BENCH_serve.json
-	$(GO) run ./cmd/benchstore -rows 100000,1000000 -workers 1,2,8 -minscaling 2 -out BENCH_store.json
+	$(GO) run ./cmd/bench -out BENCH_gates.json
 
 # benchall runs the full go-test benchmark battery (the paper experiments).
 benchall:

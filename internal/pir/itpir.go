@@ -16,7 +16,8 @@
 // database into uint64 words at construction and fans block ranges out
 // over the internal/par worker pool. XOR is exact and associative, and the
 // in-order reduction over fixed-size chunks makes every answer
-// byte-identical at any worker count (cmd/benchpir gates on this).
+// byte-identical at any worker count (cmd/bench checks this on every
+// timed answer).
 package pir
 
 import (

@@ -14,7 +14,7 @@ import (
 
 // bytewiseAnswer is the seed's byte-at-a-time reference kernel, kept here
 // as the ground truth the word-packed parallel kernel must match
-// bit-for-bit (cmd/benchpir times the same loop as its baseline).
+// bit-for-bit (cmd/bench times the same loop as its baseline).
 func bytewiseAnswer(blocks [][]byte, subset []byte) []byte {
 	out := make([]byte, len(blocks[0]))
 	for i, b := range blocks {

@@ -8,8 +8,8 @@ import (
 	"privacy3d/internal/par"
 )
 
-// The full-scale perf gate lives in cmd/benchpir (≥ 64 MiB database,
-// BENCH_pir.json); these small benchmarks exist so `make check`'s
+// The full-scale perf gate lives in cmd/bench (64 MiB database,
+// BENCH_gates.json); these small benchmarks exist so `make check`'s
 // -benchtime 1x pass keeps the kernels compiling and running on every
 // change.
 
@@ -46,8 +46,8 @@ func benchName(workers int) string {
 }
 
 // BenchmarkITAnswerBytewise times the seed's byte-at-a-time reference
-// kernel on the same workload, the baseline the word kernel is gated
-// against in cmd/benchpir.
+// kernel on the same workload, the baseline the word kernel is checked
+// and timed against in cmd/bench.
 func BenchmarkITAnswerBytewise(b *testing.B) {
 	blocks, _, subset := benchDB(b, 2048, 256)
 	b.SetBytes(2048 * 256)

@@ -2,7 +2,7 @@ package risk
 
 // Benchmarks of the engine's hot paths across worker counts. make check
 // runs these once (-benchtime 1x) so the benchmark code cannot bit-rot;
-// make bench / cmd/benchlinkage is the large-scale gate.
+// make bench / cmd/bench is the large-scale gate.
 
 import (
 	"fmt"

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"privacy3d/internal/dataset"
+	"privacy3d/internal/par"
 )
 
 // batchTestQueries is a mixed workload: distinct shapes, exact repeats
@@ -48,7 +49,9 @@ func sameAnswer(a, b Answer) bool {
 // batch is then submitted a second time on both servers, so every
 // cacheable query is a cache hit after ε has moved: the hits must still
 // match the serial loop byte for byte, EpsilonRemaining included, and
-// debit nothing.
+// debit nothing. Every case runs at par.SetWorkers 1, 2 and 8: the batch
+// sweep fans out per shard, and its answers must not depend on how many
+// workers run it.
 func TestAskBatchMatchesAskAs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -65,70 +68,82 @@ func TestAskBatchMatchesAskAs(t *testing.T) {
 		{"segment64", Config{Protection: NoProtection, SegmentSize: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := dataset.SyntheticTrial(dataset.TrialConfig{N: 500, Seed: 11})
-			serial, err := NewServer(d, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batched, err := NewServer(d, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			principal := ""
-			if tc.cfg.Protection == DifferentialPrivacy {
-				principal = "alice"
-			}
-			qs := batchTestQueries()
-			var afterFirst float64 // ε remaining after the first round
-			for round := 1; round <= 2; round++ {
-				want := make([]Answer, len(qs))
-				wantErr := make([]error, len(qs))
-				for i, q := range qs {
-					want[i], wantErr[i] = serial.AskAs(principal, q)
-				}
-				got, errs := batched.AskBatch(principal, qs)
-				for i := range qs {
-					if (errs[i] == nil) != (wantErr[i] == nil) {
-						t.Fatalf("round %d query %d: batch err %v, serial err %v", round, i, errs[i], wantErr[i])
-					}
-					if errs[i] != nil {
-						if errs[i].Error() != wantErr[i].Error() {
-							t.Fatalf("round %d query %d: batch err %q, serial err %q", round, i, errs[i], wantErr[i])
-						}
-						continue
-					}
-					if !sameAnswer(got[i], want[i]) {
-						t.Fatalf("round %d query %d: batch answer %+v, serial answer %+v", round, i, got[i], want[i])
-					}
-				}
-				if got := batched.LogDepth(); got != round*len(qs) {
-					t.Fatalf("round %d: batch logged %d queries, want %d", round, got, round*len(qs))
-				}
-				if batches, queries := batched.BatchStats(); batches != int64(round) || queries != int64(round*len(qs)) {
-					t.Fatalf("round %d: BatchStats = (%d, %d), want (%d, %d)", round, batches, queries, round, round*len(qs))
-				}
-				// The pre-sweep probe counts nothing: hits and misses are
-				// counted once each, by askOne, exactly as the serial loop
-				// counts them.
-				sh, sm, _, _ := serial.CacheStats()
-				bh, bm, _, _ := batched.CacheStats()
-				if bh != sh || bm != sm {
-					t.Fatalf("round %d: batch cache hits/misses %d/%d, serial %d/%d", round, bh, bm, sh, sm)
-				}
-				if tc.cfg.Protection == DifferentialPrivacy {
-					sr, _ := serial.BudgetRemaining(principal)
-					br, _ := batched.BudgetRemaining(principal)
-					if math.Float64bits(sr) != math.Float64bits(br) {
-						t.Fatalf("round %d: batch debited to %g, serial to %g", round, br, sr)
-					}
-					if round == 1 {
-						afterFirst = br
-					} else if br != afterFirst {
-						t.Fatalf("round 2 of cached hits debited ε: remaining %g, was %g", br, afterFirst)
-					}
-				}
+			for _, w := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+					prev := par.SetWorkers(w)
+					defer par.SetWorkers(prev)
+					askBatchMatchesAskAs(t, tc.cfg)
+				})
 			}
 		})
+	}
+}
+
+// askBatchMatchesAskAs runs one protection's case of
+// TestAskBatchMatchesAskAs at the current worker count.
+func askBatchMatchesAskAs(t *testing.T, cfg Config) {
+	d := dataset.SyntheticTrial(dataset.TrialConfig{N: 500, Seed: 11})
+	serial, err := NewServer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := NewServer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	principal := ""
+	if cfg.Protection == DifferentialPrivacy {
+		principal = "alice"
+	}
+	qs := batchTestQueries()
+	var afterFirst float64 // ε remaining after the first round
+	for round := 1; round <= 2; round++ {
+		want := make([]Answer, len(qs))
+		wantErr := make([]error, len(qs))
+		for i, q := range qs {
+			want[i], wantErr[i] = serial.AskAs(principal, q)
+		}
+		got, errs := batched.AskBatch(principal, qs)
+		for i := range qs {
+			if (errs[i] == nil) != (wantErr[i] == nil) {
+				t.Fatalf("round %d query %d: batch err %v, serial err %v", round, i, errs[i], wantErr[i])
+			}
+			if errs[i] != nil {
+				if errs[i].Error() != wantErr[i].Error() {
+					t.Fatalf("round %d query %d: batch err %q, serial err %q", round, i, errs[i], wantErr[i])
+				}
+				continue
+			}
+			if !sameAnswer(got[i], want[i]) {
+				t.Fatalf("round %d query %d: batch answer %+v, serial answer %+v", round, i, got[i], want[i])
+			}
+		}
+		if got := batched.LogDepth(); got != round*len(qs) {
+			t.Fatalf("round %d: batch logged %d queries, want %d", round, got, round*len(qs))
+		}
+		if batches, queries := batched.BatchStats(); batches != int64(round) || queries != int64(round*len(qs)) {
+			t.Fatalf("round %d: BatchStats = (%d, %d), want (%d, %d)", round, batches, queries, round, round*len(qs))
+		}
+		// The pre-sweep probe counts nothing: hits and misses are
+		// counted once each, by askOne, exactly as the serial loop
+		// counts them.
+		sh, sm, _, _ := serial.CacheStats()
+		bh, bm, _, _ := batched.CacheStats()
+		if bh != sh || bm != sm {
+			t.Fatalf("round %d: batch cache hits/misses %d/%d, serial %d/%d", round, bh, bm, sh, sm)
+		}
+		if cfg.Protection == DifferentialPrivacy {
+			sr, _ := serial.BudgetRemaining(principal)
+			br, _ := batched.BudgetRemaining(principal)
+			if math.Float64bits(sr) != math.Float64bits(br) {
+				t.Fatalf("round %d: batch debited to %g, serial to %g", round, br, sr)
+			}
+			if round == 1 {
+				afterFirst = br
+			} else if br != afterFirst {
+				t.Fatalf("round 2 of cached hits debited ε: remaining %g, was %g", br, afterFirst)
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"privacy3d/internal/dataset"
 	"privacy3d/internal/sdc"
+	"privacy3d/internal/store"
 )
 
 // mixedDataset builds a schema with a categorical column that genuinely
@@ -142,6 +143,77 @@ func TestServerMatchesEvaluate(t *testing.T) {
 		if math.Float64bits(a.Value) != math.Float64bits(want) {
 			t.Errorf("server %s = %x, Evaluate = %x (byte identity)",
 				q, math.Float64bits(a.Value), math.Float64bits(want))
+		}
+	}
+}
+
+// TestReopenedStoreMatchesResident serves a durable datadir after a cold
+// reopen, once uncapped and once with a memory cap at a quarter of the
+// resident bytes, and requires every answer of a selective workload to be
+// bit-identical to a resident server's. The capped run must leave segments
+// spilled, so some of its answers were decoded from segment files.
+func TestReopenedStoreMatchesResident(t *testing.T) {
+	d, err := dataset.Synth("trial", 4*256+30, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.CreateFromDataset(dir, d, store.Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	residentBytes := st.TierStats().ResidentBytes
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Protection: NoProtection, AnswerCacheCap: -1}
+	resident, err := NewServer(d, Config{Protection: NoProtection, AnswerCacheCap: -1, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Narrow bands, some pinned to the rare categorical value.
+	var qs []Query
+	for _, band := range []struct {
+		col    string
+		lo, hi float64
+	}{{"height", 165, 166}, {"height", 180, 183}, {"weight", 70, 71.5}, {"blood_pressure", 118, 119}} {
+		where := Predicate{{Col: band.col, Op: Ge, V: band.lo}, {Col: band.col, Op: Lt, V: band.hi}}
+		qs = append(qs,
+			Query{Agg: Count, Where: where},
+			Query{Agg: Sum, Attr: "blood_pressure", Where: where},
+			Query{Agg: Sum, Attr: "weight", Where: append(where, Cond{Col: "aids", Op: Eq, S: "Y", Str: true})})
+	}
+	want := make([][3]uint64, len(qs))
+	for i, q := range qs {
+		a, err := resident.Ask(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = answerBits(a)
+	}
+	for _, memCap := range []int64{0, residentBytes / 4} {
+		st, err := store.Open(dir, store.Options{MemCap: memCap})
+		if err != nil {
+			t.Fatalf("memcap %d: %v", memCap, err)
+		}
+		srv, err := NewServerFromStore(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			a, err := srv.Ask(q)
+			if err != nil {
+				t.Fatalf("memcap %d: %s: %v", memCap, q, err)
+			}
+			if answerBits(a) != want[i] {
+				t.Errorf("memcap %d: %s answered %x, resident server %x", memCap, q, answerBits(a), want[i])
+			}
+		}
+		if ts := st.TierStats(); memCap > 0 && ts.Spilled == 0 {
+			t.Errorf("memcap %d of %d resident bytes left no segment spilled", memCap, residentBytes)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

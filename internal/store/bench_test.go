@@ -11,7 +11,7 @@ import (
 )
 
 // The Eval/EvalScan benchmarks compare the two storage paths on the same
-// selective band — the workload cmd/benchstore gates at full scale. Sizes
+// selective band — the workload cmd/bench gates at full scale. Sizes
 // stay modest so `make check`'s -benchtime 1x smoke pass stays cheap.
 
 func benchSnapshot(b *testing.B, rows int) *Snapshot {

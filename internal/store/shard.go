@@ -196,7 +196,7 @@ func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 
 // EvalScan answers the conjunction by a compiled row-at-a-time sweep over
 // every segment and the tail — the reference path the indexes must stay
-// byte-identical to, and the scan side of cmd/benchstore's speedup gate. It
+// byte-identical to, and the scan side of cmd/bench's speedup gate. It
 // scatters over the same shards as Eval, so indexed-vs-scan benchmarks
 // compare index structure, not scheduling. Unreadable segments fail it as
 // they fail Eval.
