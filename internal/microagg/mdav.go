@@ -11,7 +11,6 @@ package microagg
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"privacy3d/internal/dataset"
 	"privacy3d/internal/par"
@@ -57,9 +56,10 @@ func MDAVGroupsFlatCtx(ctx context.Context, f *stats.Flat, k int) ([][]int, erro
 	for i := range remaining {
 		remaining[i] = i
 	}
-	// One candidate scratch buffer for every takeNearest call in the run,
-	// and one membership array for the O(1) was-s-consumed-into-g1 check.
-	scratch := make([]cand, f.Rows())
+	// One distance and selection scratch for every takeNearest call in the
+	// run, and one membership array for the O(1) was-s-consumed-into-g1
+	// check.
+	scratch := &nearScratch{dist: make([]float64, f.Rows()), heap: make([]cand, 0, k)}
 	inG1 := make([]bool, f.Rows())
 	var groups [][]int
 	for len(remaining) >= 3*k {
@@ -195,12 +195,38 @@ type cand struct {
 	d   float64
 }
 
+// candLess orders candidates by distance, then by index. A NaN distance
+// sorts after every number, NaNs among themselves by index, so the order
+// is total on any input.
+func candLess(a, b cand) bool {
+	if an, bn := a.d != a.d, b.d != b.d; an || bn {
+		if an != bn {
+			return bn
+		}
+		return a.idx < b.idx
+	}
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.idx < b.idx
+}
+
+// nearScratch is takeNearestFlat's reusable scratch: one distance per row
+// and the k-candidate selection heap.
+type nearScratch struct {
+	dist []float64
+	heap []cand
+}
+
 // takeNearestFlat removes the k records nearest to center (anchor first if
-// provided) from rows, returning the group and the remaining rows. The
-// distance fill runs in parallel into the caller's scratch buffer; the sort
-// breaks distance ties by index, so the split is deterministic.
-func takeNearestFlat(ctx context.Context, pool *par.Pool, f *stats.Flat, rows []int, center []float64, k, anchor int, scratch []cand) (group, rest []int, err error) {
-	cands := scratch[:len(rows)]
+// provided) from rows, which must be ascending, returning the group and
+// the remaining rows, both ascending. The distance fill runs in parallel
+// into the caller's scratch; a max-heap of k candidates then selects the
+// k smallest (distance, index) pairs under candLess — distance ties break
+// by index, so the split is deterministic — and one ordered pass over
+// rows splits them, so neither side needs a sort.
+func takeNearestFlat(ctx context.Context, pool *par.Pool, f *stats.Flat, rows []int, center []float64, k, anchor int, scratch *nearScratch) (group, rest []int, err error) {
+	dist := scratch.dist[:len(rows)]
 	if err := pool.ForEachChunkCtx(ctx, len(rows), func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			i := rows[t]
@@ -208,28 +234,66 @@ func takeNearestFlat(ctx context.Context, pool *par.Pool, f *stats.Flat, rows []
 			if i == anchor {
 				d = -1 // anchor always first
 			}
-			cands[t] = cand{i, d}
+			dist[t] = d
 		}
 	}); err != nil {
 		return nil, nil, err
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
+	h := scratch.heap[:0]
+	for t, i := range rows {
+		c := cand{i, dist[t]}
+		if len(h) < k {
+			h = append(h, c)
+			siftUp(h, len(h)-1)
+		} else if candLess(c, h[0]) {
+			h[0] = c
+			siftDown(h, 0)
 		}
-		return cands[a].idx < cands[b].idx
-	})
+	}
+	// Exactly k candidates are at or before the heap's top, the k-th
+	// nearest: candLess is total and no two rows share an index.
+	kth := h[0]
 	group = make([]int, 0, k)
-	for _, c := range cands[:k] {
-		group = append(group, c.idx)
-	}
 	rest = make([]int, 0, len(rows)-k)
-	for _, c := range cands[k:] {
-		rest = append(rest, c.idx)
+	for t, i := range rows {
+		if candLess(kth, cand{i, dist[t]}) {
+			rest = append(rest, i)
+		} else {
+			group = append(group, i)
+		}
 	}
-	sort.Ints(group)
-	sort.Ints(rest)
 	return group, rest, nil
+}
+
+// siftUp restores the max-heap order (under candLess) of h after h[j]
+// was appended.
+func siftUp(h []cand, j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !candLess(h[p], h[j]) {
+			return
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+}
+
+// siftDown restores the max-heap order of h after h[j] was replaced.
+func siftDown(h []cand, j int) {
+	for {
+		big := j
+		if l := 2*j + 1; l < len(h) && candLess(h[big], h[l]) {
+			big = l
+		}
+		if r := 2*j + 2; r < len(h) && candLess(h[big], h[r]) {
+			big = r
+		}
+		if big == j {
+			return
+		}
+		h[j], h[big] = h[big], h[j]
+		j = big
+	}
 }
 
 // Result describes a microaggregation masking run.

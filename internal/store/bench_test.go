@@ -296,13 +296,15 @@ func openBenchDir(b *testing.B, rows int) string {
 
 // BenchmarkOpen times a restart of a datadir: Open (manifest recovery,
 // dictionary and tail load, the epoch commit) and Close (the final
-// commit), at 100k rows (13 segments) and at 1M rows (122 segments, the
-// datadir perfbench's miss_1m reopens).
+// commit), at 100k rows (12 segments and a 1 696-row tail), at 250k rows
+// (30 segments and a 4 240-row tail, the shape of perfbench's
+// spill_clustered datadir) and at 1M rows (122 segments and a 576-row
+// tail, the datadir perfbench's miss_1m reopens).
 func BenchmarkOpen(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		rows int
-	}{{"100k", 100_000}, {"1M", 1_000_000}} {
+	}{{"100k", 100_000}, {"250k", 250_000}, {"1M", 1_000_000}} {
 		b.Run(c.name, func(b *testing.B) {
 			dir := openBenchDir(b, c.rows)
 			b.ResetTimer()

@@ -23,7 +23,8 @@ import (
 //	LOCK              flock'd for the store's lifetime (double-open guard)
 //	DICT              append-only string dictionary (uvarint len + bytes)
 //	SEG-0000000N      sealed segment N (segMagic block file, immutable)
-//	TAIL-000000000S   open-tail rows at commit S (tailMagic block file)
+//	TAIL-000000000S   open-tail rows written by commit S (tailMagic block
+//	                  file); later commits name it again until the tail changes
 //	MANIFEST-000000000S  commit S
 //
 // A manifest file is binary, little-endian like the block files:
@@ -62,7 +63,8 @@ import (
 // temp files) using the listing recovery made. The two newest manifests
 // are kept after each commit so external corruption of the newest still
 // leaves a valid fallback; every other commit removes the manifest and
-// tail file it supersedes by name, without listing the directory.
+// tail file it supersedes by name, without listing the directory — the
+// tail file only once neither kept manifest names it.
 const (
 	manifestMagic   = "P3DMAN02"
 	manifestMagicV1 = "P3DMAN01"
@@ -490,8 +492,9 @@ func decodeManifestV2(raw []byte) (*manifest, error) {
 // dictionary-coded terms. The tail file and the committed DICT prefix,
 // which Open decodes in full, are read and checksummed here, and their
 // bytes kept for Open, so a torn tail or dictionary fails the commit and
-// recovery falls back to the previous one.
-func validateManifest(dir string, m *manifest) error {
+// recovery falls back to the previous one. The prefix is read through
+// dict, the DICT handle Open keeps for appends.
+func validateManifest(dir string, m *manifest, dict *os.File) error {
 	if err := checkSegmentSize(m.SegSize); err != nil {
 		return err
 	}
@@ -517,7 +520,12 @@ func validateManifest(dir string, m *manifest) error {
 		if _, ok := nameNumber(t.File, tailPrefix, tailNameDigits); !ok {
 			return fmt.Errorf("store: the tail is named %q", t.File)
 		}
-		buf, err := readChecked(filepath.Join(dir, t.File), t.Size, true, t.CRC)
+		f, err := os.Open(filepath.Join(dir, t.File))
+		if err != nil {
+			return err
+		}
+		buf, err := readChecked(f, t.Size, true, t.CRC)
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -527,7 +535,7 @@ func validateManifest(dir string, m *manifest) error {
 		return fmt.Errorf("store: dictionary prefix of %d bytes", m.DictBytes)
 	}
 	if m.DictBytes > 0 {
-		buf, err := readChecked(filepath.Join(dir, dictFileName), m.DictBytes, false, m.DictCRC)
+		buf, err := readChecked(dict, m.DictBytes, false, m.DictCRC)
 		if err != nil {
 			return fmt.Errorf("store: dictionary: %w", err)
 		}
@@ -572,28 +580,24 @@ func noteLegacySegment(path string, b *manifestBlock) error {
 	return nil
 }
 
-// readChecked reads the first size bytes of the file at path — which must
-// hold exactly size bytes when exact is set, and at least size otherwise —
-// and fails unless their CRC-32 is crc.
-func readChecked(path string, size int64, exact bool, crc uint32) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+// readChecked reads the first size bytes of f — which must hold exactly
+// size bytes when exact is set, and at least size otherwise — and fails
+// unless their CRC-32 is crc. It reads at offset 0 and leaves f's offset
+// where it was.
+func readChecked(f *os.File, size int64, exact bool, crc uint32) ([]byte, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	if fi.Size() != size && (exact || fi.Size() < size || size < 0) {
-		return nil, fmt.Errorf("store: %s: size %d, manifest says %d", path, fi.Size(), size)
+		return nil, fmt.Errorf("store: %s: size %d, manifest says %d", f.Name(), fi.Size(), size)
 	}
 	buf := make([]byte, size)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", f.Name(), err)
 	}
 	if crc32.ChecksumIEEE(buf) != crc {
-		return nil, fmt.Errorf("store: %s: checksum mismatch", path)
+		return nil, fmt.Errorf("store: %s: checksum mismatch", f.Name())
 	}
 	return buf, nil
 }
@@ -613,9 +617,9 @@ func checkSize(path string, size int64) error {
 // recoverManifest picks the newest fully-valid manifest in dir, deleting
 // any newer (torn or corrupted) ones so they can never shadow the adopted
 // state, and returns it with its sequence number and the directory
-// listing it recovered from. An error naming the first failure is
-// returned when no manifest validates.
-func recoverManifest(dir string) (*manifest, uint64, []string, error) {
+// listing it recovered from. dict is the open DICT file. An error naming
+// the first failure is returned when no manifest validates.
+func recoverManifest(dir string, dict *os.File) (*manifest, uint64, []string, error) {
 	names, err := listDir(dir)
 	if err != nil {
 		return nil, 0, nil, err
@@ -629,7 +633,7 @@ func recoverManifest(dir string) (*manifest, uint64, []string, error) {
 		path := filepath.Join(dir, manifestFileName(seq))
 		m, err := readManifest(path)
 		if err == nil {
-			err = validateManifest(dir, m)
+			err = validateManifest(dir, m, dict)
 		}
 		if err != nil {
 			if firstErr == nil {

@@ -153,7 +153,7 @@ func TestMisnamedBlockFallsBackToPreviousCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := validateManifest(dir, m); err == nil || !strings.Contains(err.Error(), "named") {
+			if err := validateManifest(dir, m, nil); err == nil || !strings.Contains(err.Error(), "named") {
 				t.Fatalf("validateManifest = %v, want a naming error", err)
 			}
 			r, err := Open(dir, Options{})

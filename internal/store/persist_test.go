@@ -421,7 +421,7 @@ func TestManifestSegmentSizeCheckedAtOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := validateManifest(dir, m); err == nil || !strings.Contains(err.Error(), "segment size") {
+		if err := validateManifest(dir, m, nil); err == nil || !strings.Contains(err.Error(), "segment size") {
 			t.Fatalf("seg_size %d: validateManifest = %v, want a segment-size error", size, err)
 		}
 		r, err := Open(dir, Options{})

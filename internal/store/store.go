@@ -176,7 +176,12 @@ type Store struct {
 	dictCommitted int   // dictionary entries flushed to DICT
 	dictBytes     int64 // committed DICT prefix length
 	dictCRC       uint32
-	tailKeep      [2]string // tail files referenced by the two kept manifests
+	// lastTail is the tail the last successful commit named, which the
+	// next commit names again if the tail has not changed; prevTail is the
+	// tail file of the commit before it. The two kept manifests reference
+	// these tail files, which may be one file.
+	lastTail committedTail
+	prevTail string
 	// sweep makes the next commit list the directory and remove every file
 	// the two kept manifests do not reference (sweepLocked); set for the
 	// commits of Open and Create and after a commit that failed.

@@ -322,27 +322,41 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // check the CRC too, so a corrupt one fails Open. The epoch is bumped and
 // committed (as P3DMAN02) before the store is returned, so snapshot
 // versions from this incarnation can never collide with versions any
-// previous incarnation may have handed out after its last commit.
+// previous incarnation may have handed out after its last commit. That
+// commit writes only the manifest: the tail has not changed, so it names
+// the adopted tail file again.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	m, seq, names, err := recoverManifest(dir)
+	// DICT is opened once: validation reads each candidate's committed
+	// prefix through this handle, and the store keeps it for appends.
+	dictF, err := os.OpenFile(filepath.Join(dir, dictFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		lockF.Close()
 		return nil, err
 	}
-	if opts.SegmentSize != 0 && opts.SegmentSize != m.SegSize {
+	closeFiles := func() {
+		dictF.Close()
 		lockF.Close()
+	}
+	m, seq, names, err := recoverManifest(dir, dictF)
+	if err != nil {
+		closeFiles()
+		return nil, err
+	}
+	if opts.SegmentSize != 0 && opts.SegmentSize != m.SegSize {
+		closeFiles()
 		return nil, fmt.Errorf("store: %s has segment size %d, requested %d", dir, m.SegSize, opts.SegmentSize)
 	}
 	s, err := newStore(m.Attrs, m.SegSize, m.Shards, dir, opts)
 	if err != nil {
-		lockF.Close()
+		closeFiles()
 		return nil, err
 	}
 	s.lockF = lockF
+	s.dictF = dictF
 	s.manifestSeq = seq
 	s.epoch = m.Epoch + 1
 	s.version = s.epoch << 32
@@ -350,18 +364,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.listing = names // the directory is locked: the sweep needs no fresh listing
 	fail := func(err error) (*Store, error) {
 		s.tier.close()
-		lockF.Close()
+		closeFiles()
 		return nil, err
 	}
 
 	// Dictionary: load the committed prefix, truncate any uncommitted
 	// trailing bytes a crashed ingest appended, and keep appending.
-	s.dictF, err = os.OpenFile(filepath.Join(dir, dictFileName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fail(err)
-	}
 	if err := s.loadDict(m); err != nil {
-		s.dictF.Close()
 		return fail(err)
 	}
 
@@ -395,7 +404,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 			d, err := load()
 			if err != nil {
-				s.dictF.Close()
 				return fail(err)
 			}
 			sg.zones = zonesOf(d)
@@ -411,10 +419,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	// most one segment of rows).
 	if m.Tail != nil {
 		if err := s.loadTail(m.Tail); err != nil {
-			s.dictF.Close()
 			return fail(err)
 		}
-		s.tailKeep[0] = m.Tail.File
 	}
 
 	s.mu.Lock()
@@ -423,10 +429,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Commit the epoch bump immediately (same data, new epoch) so a crash
 	// before the next natural commit still leaves the epoch consumed.
 	if err := s.commitLocked(); err != nil {
-		s.dictF.Close()
-		s.tier.close()
-		lockF.Close()
-		return nil, err
+		return fail(err)
 	}
 	s.publishLocked()
 	return s, nil
@@ -476,9 +479,10 @@ func decodeDict(buf []byte) ([]string, error) {
 }
 
 // loadTail decodes the committed tail file's bytes, as validation read
-// them, into the tail buffers.
+// them, into the tail buffers, and records the file as the last committed
+// tail, so commits name it again until the tail changes.
 func (s *Store) loadTail(b *manifestBlock) error {
-	_, rows, nums, cats, err := decodeTail(&blockReader{buf: b.buf, name: b.File}, s.attrs)
+	base, rows, nums, cats, err := decodeTail(&blockReader{buf: b.buf, name: b.File}, s.attrs)
 	if err != nil {
 		return err
 	}
@@ -490,6 +494,7 @@ func (s *Store) loadTail(b *manifestBlock) error {
 		copy(s.tailCats[j], cats[j])
 	}
 	s.tailLen = rows
+	s.lastTail = committedTail{manifestBlock{File: b.File, Rows: b.Rows, Size: b.Size, CRC: b.CRC}, base}
 	return nil
 }
 
@@ -520,11 +525,23 @@ func (s *Store) flushDictLocked() error {
 	return nil
 }
 
+// committedTail is a commit's tail record and the row its rows start at;
+// File is "" when the commit had no tail.
+type committedTail struct {
+	manifestBlock
+	base int
+}
+
 // commitLocked makes the current sealed state (and open tail) durable:
-// flush the dictionary, write a fresh tail file when the tail is
-// non-empty, and commit a new manifest via atomic rename. Sealed segment
-// files were already written (and fsync'd) at seal time. After the commit,
-// the manifest and tail file superseded twice over are removed — the
+// flush the dictionary, name the open tail's rows in a tail file, and
+// commit a new manifest via atomic rename. Sealed segment files were
+// already written (and fsync'd) at seal time. A tail file is written only
+// when the tail changed since the last successful commit: rows are only
+// ever appended to the tail, and a seal starts a new one at a new base,
+// so a tail holding the same number of rows at the same base holds the
+// rows that commit's file does, and the new manifest names that file
+// again. After the commit, the manifest superseded twice over is
+// removed, and its tail file unless a kept manifest still names it — the
 // previous commit stays on disk as the fallback recovery point.
 func (s *Store) commitLocked() error {
 	full := s.sweep
@@ -548,22 +565,26 @@ func (s *Store) commitLocked() error {
 		src := sg.src.(*fileSource)
 		m.Segments[i] = manifestBlock{File: src.name, Rows: sg.n, Size: src.size, CRC: src.crc, Decoded: src.decoded, Zones: encodeZones(sg.zones)}
 	}
-	var tailName string
+	tail := committedTail{base: len(s.segs) * s.segSize}
 	if s.tailLen > 0 {
-		tailName = tailFileName(seq)
-		size, crc, err := writeTailFile(s.tier.dir, tailName, len(s.segs)*s.segSize, s.tailLen, s.tailNums, s.tailCats)
-		if err != nil {
-			return err
+		if s.lastTail.File != "" && s.lastTail.Rows == s.tailLen && s.lastTail.base == tail.base {
+			tail.manifestBlock = s.lastTail.manifestBlock
+		} else {
+			name := tailFileName(seq)
+			size, crc, err := writeTailFile(s.tier.dir, name, tail.base, s.tailLen, s.tailNums, s.tailCats)
+			if err != nil {
+				return err
+			}
+			tail.manifestBlock = manifestBlock{File: name, Rows: s.tailLen, Size: size, CRC: crc}
 		}
-		m.Tail = &manifestBlock{File: tailName, Rows: s.tailLen, Size: size, CRC: crc}
+		m.Tail = &tail.manifestBlock
 	}
 	if err := writeManifest(s.tier.dir, seq, m); err != nil {
 		return err
 	}
 	s.manifestSeq = seq
-	dropped := s.tailKeep[1]
-	s.tailKeep[1] = s.tailKeep[0]
-	s.tailKeep[0] = tailName
+	dropped := s.prevTail
+	s.prevTail, s.lastTail = s.lastTail.File, tail
 	s.sweep = false
 	if full {
 		s.sweepLocked(seq)
@@ -575,7 +596,7 @@ func (s *Store) commitLocked() error {
 	if seq > 2 {
 		os.Remove(filepath.Join(s.tier.dir, manifestFileName(seq-2)))
 	}
-	if dropped != "" {
+	if dropped != "" && dropped != s.prevTail && dropped != tail.File {
 		os.Remove(filepath.Join(s.tier.dir, dropped))
 	}
 	return nil
@@ -620,10 +641,11 @@ func prevManifestSeq(seqs []uint64, seq uint64) uint64 {
 	return best
 }
 
-// keepFiles names the tail files the two retained manifests reference.
+// keepFiles names the tail files the two retained manifests reference:
+// one file when both name the same tail.
 func (s *Store) keepFiles() map[string]bool {
 	keep := map[string]bool{}
-	for _, name := range s.tailKeep {
+	for _, name := range [2]string{s.lastTail.File, s.prevTail} {
 		if name != "" {
 			keep[name] = true
 		}

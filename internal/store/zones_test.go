@@ -266,7 +266,7 @@ func TestZonesLengthMismatchFallsBackToPreviousCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readManifest: %v", err)
 	}
-	if err := validateManifest(dir, m); err == nil || !strings.Contains(err.Error(), "zone maps") {
+	if err := validateManifest(dir, m, nil); err == nil || !strings.Contains(err.Error(), "zone maps") {
 		t.Fatalf("validateManifest = %v, want a zone-map count error", err)
 	}
 	r, err := Open(dir, Options{})
