@@ -8,13 +8,17 @@ all: build vet test
 # full test suite under the race detector — the parallel analytics engine
 # (internal/par and every kernel on it) and the concurrent HTTP serving
 # layer rely on -race to enforce their data-race guarantees on every change
-# — and one short-mode pass over the benchmarks (-benchtime 1x) so
-# benchmark code cannot bit-rot. The perfbench harness is a module of its
-# own (perfbench/go.mod), so ./... never reaches it: check vets and tests it
-# separately, so an internal API change that breaks the benchmark fails here.
+# — then the sdcquery concurrency tests five more times under -race, since
+# every privacy-state commit shares one lock and an interleaving bug shows
+# only on some runs, and one short-mode pass over the benchmarks
+# (-benchtime 1x) so benchmark code cannot bit-rot. The perfbench harness
+# is a module of its own (perfbench/go.mod), so ./... never reaches it:
+# check vets and tests it separately, so an internal API change that
+# breaks the benchmark fails here.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -race ./internal/sdcquery -run 'Hammer|Concurrent|AskBatch' -count=5
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -3,8 +3,8 @@ package dp
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -37,30 +37,19 @@ func (e *BudgetError) Error() string {
 // Unwrap makes errors.Is(err, ErrBudgetExhausted) hold.
 func (e *BudgetError) Unwrap() error { return ErrBudgetExhausted }
 
-// ledgerShards is the stripe count of a Ledger. Budget state is a hash map
-// guarded per stripe, so check-and-debit for distinct principals contends
-// only 1/ledgerShards of the time; 64 stripes keep the hot path essentially
-// uncontended at realistic core counts while costing ~4 KiB per ledger.
-const ledgerShards = 64
-
-// Ledger is the sharded per-(principal, dataset) ε-budget account book of
-// a DP query server. Every answered query debits its ε cost atomically:
-// the check (enough budget?) and the debit happen under one stripe lock,
-// so concurrent queries can never jointly overspend a budget, and a
-// refused query debits nothing.
+// Ledger is the per-(principal, dataset) ε-budget account book of a DP
+// query server. Every answered query debits its ε cost atomically: the
+// check (enough budget?) and the debit happen under one lock, so
+// concurrent queries can never jointly overspend a budget, and a refused
+// query debits nothing.
 //
-// A Ledger is safe for concurrent use and is lock-striped: keys are
-// distributed over 64 independently locked stripes, so budget accounting
-// for millions of distinct principals does not serialize the server the
-// way a single mutex (or the query-log lock) would.
+// A Ledger is safe for concurrent use: one mutex guards one map. The query
+// server debits it only from its privacy-state commit, which is serialized
+// already, so striping the map would buy nothing there.
 type Ledger struct {
 	budget float64
-	shards [ledgerShards]ledgerShard
-}
-
-type ledgerShard struct {
-	mu    sync.Mutex
-	spent map[string]float64
+	mu     sync.Mutex
+	spent  map[string]float64
 }
 
 // NewLedger creates a ledger granting every (principal, dataset) pair the
@@ -69,11 +58,7 @@ func NewLedger(budget float64) (*Ledger, error) {
 	if !(budget > 0) {
 		return nil, fmt.Errorf("dp: ledger budget must be > 0, got %g", budget)
 	}
-	l := &Ledger{budget: budget}
-	for i := range l.shards {
-		l.shards[i].spent = map[string]float64{}
-	}
-	return l, nil
+	return &Ledger{budget: budget, spent: map[string]float64{}}, nil
 }
 
 // Budget returns the per-principal total ε.
@@ -82,12 +67,6 @@ func (l *Ledger) Budget() float64 { return l.budget }
 // key canonically joins principal and dataset; NUL never occurs in either
 // (HTTP headers and flag values cannot carry it), so the join is unambiguous.
 func key(principal, dataset string) string { return principal + "\x00" + dataset }
-
-func (l *Ledger) shard(k string) *ledgerShard {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return &l.shards[h.Sum64()%ledgerShards]
-}
 
 // Charge atomically checks and debits eps from the (principal, dataset)
 // budget. On success it returns the ε remaining after the debit. When the
@@ -102,10 +81,9 @@ func (l *Ledger) Charge(principal, dataset string, eps float64) (float64, error)
 		return 0, fmt.Errorf("dp: charge must be > 0, got %g", eps)
 	}
 	k := key(principal, dataset)
-	s := l.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	spent := s.spent[k]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	spent := l.spent[k]
 	// The comparison tolerates no floating slack: a budget of 1.0 admits
 	// exactly ten ε=0.1 charges only if the running sum stays ≤ budget,
 	// which accumulated rounding can break either way; what the ledger
@@ -115,18 +93,16 @@ func (l *Ledger) Charge(principal, dataset string, eps float64) (float64, error)
 			Requested: eps, Remaining: l.budget - spent}
 	}
 	spent += eps
-	s.spent[k] = spent
+	l.spent[k] = spent
 	return l.budget - spent, nil
 }
 
 // Remaining returns the unspent ε of (principal, dataset). A principal the
 // ledger has never charged has the full budget remaining.
 func (l *Ledger) Remaining(principal, dataset string) float64 {
-	k := key(principal, dataset)
-	s := l.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return l.budget - s.spent[k]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.budget - l.spent[key(principal, dataset)]
 }
 
 // Spent returns the ε already debited from (principal, dataset).
@@ -135,22 +111,17 @@ func (l *Ledger) Spent(principal, dataset string) float64 {
 }
 
 // Principals returns every principal the ledger has charged on the given
-// dataset, sorted — the metrics layer registers one remaining-ε gauge per
-// entry. The snapshot is taken stripe by stripe; it is consistent per
-// stripe, which is all a scrape needs.
+// dataset, sorted.
 func (l *Ledger) Principals(dataset string) []string {
 	suffix := "\x00" + dataset
 	var out []string
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for k := range s.spent {
-			if len(k) >= len(suffix) && k[len(k)-len(suffix):] == suffix {
-				out = append(out, k[:len(k)-len(suffix)])
-			}
+	l.mu.Lock()
+	for k := range l.spent {
+		if p, ok := strings.CutSuffix(k, suffix); ok {
+			out = append(out, p)
 		}
-		s.mu.Unlock()
 	}
+	l.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -211,11 +211,14 @@ func candLess(a, b cand) bool {
 	return a.idx < b.idx
 }
 
-// nearScratch is takeNearestFlat's reusable scratch: one distance per row
-// and the k-candidate selection heap.
+// nearScratch is takeNearestFlat's reusable scratch: one distance per row,
+// the k-candidate selection heap, and two rest buffers. Each call writes
+// its rest into the buffer that does not hold its rows, so the rest of one
+// call can be the rows of the next without a fresh slice per split.
 type nearScratch struct {
 	dist []float64
 	heap []cand
+	rest [2][]int
 }
 
 // takeNearestFlat removes the k records nearest to center (anchor first if
@@ -224,7 +227,8 @@ type nearScratch struct {
 // into the caller's scratch; a max-heap of k candidates then selects the
 // k smallest (distance, index) pairs under candLess — distance ties break
 // by index, so the split is deterministic — and one ordered pass over
-// rows splits them, so neither side needs a sort.
+// rows splits them, so neither side needs a sort. rest is one of scratch's
+// rest buffers, valid until the call after next.
 func takeNearestFlat(ctx context.Context, pool *par.Pool, f *stats.Flat, rows []int, center []float64, k, anchor int, scratch *nearScratch) (group, rest []int, err error) {
 	dist := scratch.dist[:len(rows)]
 	if err := pool.ForEachChunkCtx(ctx, len(rows), func(lo, hi int) {
@@ -254,7 +258,15 @@ func takeNearestFlat(ctx context.Context, pool *par.Pool, f *stats.Flat, rows []
 	// nearest: candLess is total and no two rows share an index.
 	kth := h[0]
 	group = make([]int, 0, k)
-	rest = make([]int, 0, len(rows)-k)
+	b := 0
+	if r := scratch.rest[0]; cap(r) > 0 && len(rows) > 0 && &r[:1][0] == &rows[0] {
+		b = 1
+	}
+	// An empty rest is an empty slice, never nil, as a fresh make gave.
+	if scratch.rest[b] == nil || cap(scratch.rest[b]) < len(rows)-k {
+		scratch.rest[b] = make([]int, 0, len(rows)-k)
+	}
+	rest = scratch.rest[b][:0]
 	for t, i := range rows {
 		if candLess(kth, cand{i, dist[t]}) {
 			rest = append(rest, i)

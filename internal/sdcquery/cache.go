@@ -17,9 +17,9 @@ import (
 // fix: the noise key makes a repeat a re-release of the identical value, so
 // it must not debit ε again (the seed double-debited; see Server.AskAs).
 //
-// Shards bound lock contention the same way dp.Ledger stripes its budget
-// map; each shard evicts FIFO at its per-shard cap, so total memory is
-// bounded by the configured capacity regardless of workload.
+// Shards bound lock contention on the hit path; each shard evicts FIFO at
+// its per-shard cap, so total memory is bounded by the configured capacity
+// regardless of workload.
 type answerCache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Int64
@@ -58,10 +58,7 @@ func (c *answerCache) shard(key string) *cacheShard {
 
 // get returns the cached answer for key, counting the hit or miss.
 func (c *answerCache) get(key string) (Answer, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	a, ok := s.m[key]
-	s.mu.Unlock()
+	a, ok := c.peek(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -70,14 +67,15 @@ func (c *answerCache) get(key string) (Answer, bool) {
 	return a, ok
 }
 
-// has reports whether key is cached without counting a hit or miss: a
-// probe that only decides whether to evaluate ahead of the counted get.
-func (c *answerCache) has(key string) bool {
+// peek returns the cached answer for key without counting a hit or miss:
+// a probe that decides whether to evaluate ahead of the counted get, or a
+// re-check under the privacy-state lock after it.
+func (c *answerCache) peek(key string) (Answer, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	_, ok := s.m[key]
+	a, ok := s.m[key]
 	s.mu.Unlock()
-	return ok
+	return a, ok
 }
 
 // put stores the answer under key, evicting the shard's oldest entry when

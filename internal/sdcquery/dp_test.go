@@ -346,8 +346,8 @@ func TestDPHTTPBudgetFlow(t *testing.T) {
 		t.Errorf("bob refused: %d", resp.StatusCode)
 	}
 
-	// Outcome labels classify the DP refusals distinctly, and the
-	// per-principal gauges expose remaining ε.
+	// Outcome labels classify the DP refusals distinctly, and two bounded
+	// aggregates expose the ledger: principals charged and ε spent.
 	var metrics strings.Builder
 	if _, err := reg.WriteTo(&metrics); err != nil {
 		t.Fatal(err)
@@ -356,8 +356,8 @@ func TestDPHTTPBudgetFlow(t *testing.T) {
 		`sdcquery_answers_total{outcome="answered"} 4`,
 		`sdcquery_answers_total{outcome="budget-exhausted"} 1`,
 		`sdcquery_answers_total{outcome="no-principal"} 1`,
-		`dp_epsilon_remaining{principal="alice"} 0`,
-		`dp_epsilon_remaining{principal="bob"} 1`,
+		`dp_principals 2`,
+		`dp_epsilon_spent 3`,
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics missing %q in:\n%s", want, metrics.String())
@@ -409,4 +409,40 @@ func ExampleServer_AskAs_budgetExhausted() {
 	_, err := srv.AskAs("alice", Query{Agg: Count, Where: Predicate{{Col: "height", Op: Ge, V: 170}}})
 	fmt.Println(errors.Is(err, dp.ErrBudgetExhausted))
 	// Output: true
+}
+
+// TestDPMetricsBoundedInPrincipals pins the metrics surface's size: every
+// fresh principal is one more ledger entry, never one more /metrics
+// series, so 500 principals scrape to as many lines as one.
+func TestDPMetricsBoundedInPrincipals(t *testing.T) {
+	srv := dpServer(t, Config{Seed: 3, Epsilon: 0.5, EpsilonBudget: 1})
+	h := NewHandler(srv, HandlerConfig{Registry: obs.NewRegistry()})
+	ask := func(principal string) {
+		req := httptest.NewRequest(http.MethodPost, "/sql", strings.NewReader("SELECT COUNT(*) WHERE height >= 170"))
+		req.Header.Set(PrincipalHeader, principal)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", principal, rec.Code, rec.Body)
+		}
+	}
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
+	ask("p0")
+	one := strings.Count(scrape(), "\n")
+	for i := 1; i < 500; i++ {
+		ask(fmt.Sprintf("p%d", i))
+	}
+	m := scrape()
+	if got := strings.Count(m, "\n"); got != one {
+		t.Errorf("/metrics has %d lines after 500 principals, %d after one", got, one)
+	}
+	for _, want := range []string{"dp_principals 500\n", "dp_epsilon_spent 250\n"} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q in:\n%s", want, m)
+		}
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -281,8 +280,9 @@ const epsilonRemainingHeader = "X-Privacy3D-Epsilon-Remaining"
 // distinct budget-exhausted and no-principal refusals of differential
 // privacy), exposes the query-log depth as a gauge — the tracker-relevant
 // signal: how much history an auditor must reason over — and, under
-// DifferentialPrivacy, one dp_epsilon_remaining{principal} gauge per
-// principal seen. POST /protect is mounted but answers 403 unless
+// DifferentialPrivacy, two bounded aggregates of the budget ledger:
+// dp_principals (principals charged) and dp_epsilon_spent (ε debited over
+// all of them). POST /protect is mounted but answers 403 unless
 // cfg.OwnerToken is set.
 func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	reg := cfg.Registry
@@ -328,6 +328,10 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			}
 			return float64(queries) / float64(batches)
 		})
+		if srv.priv.ledger != nil {
+			reg.Gauge("dp_principals", func() float64 { return float64(len(srv.BudgetPrincipals())) })
+			reg.Gauge("dp_epsilon_spent", srv.priv.epsilonSpent)
+		}
 	}
 	// Admission control: shed excess per-client load at the door. The
 	// in-flight gauge is the serving queue depth — requests admitted but
@@ -392,24 +396,26 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
 		return true
 	}
-	// Per-principal remaining-ε gauges, registered once per principal the
-	// moment it first appears (registration replaces the callback, so the
-	// seen-set only avoids re-locking the registry on every request).
-	var seenPrincipals sync.Map
-	principalGauge := func(p string) {
-		if reg == nil || p == "" {
-			return
+	// released renders an answer on the wire and counts its outcome; the
+	// single-query and batch paths share it.
+	released := func(a Answer) AnswerJSON {
+		aj := AnswerJSON{
+			Denied: a.Denied, Reason: a.Reason, Value: a.Value,
+			Lo: a.Lo, Hi: a.Hi, Interval: a.Interval,
 		}
-		if _, loaded := seenPrincipals.LoadOrStore(p, true); loaded {
-			return
+		switch {
+		case a.Denied:
+			outcome("denied")
+		case a.Interval:
+			outcome("interval")
+		default:
+			outcome("answered")
 		}
-		reg.Gauge(obs.Label("dp_epsilon_remaining", "principal", p), func() float64 {
-			rem, ok := srv.BudgetRemaining(p)
-			if !ok {
-				return 0
-			}
-			return rem
-		})
+		if a.Budgeted {
+			eps, rem := a.Epsilon, a.EpsilonRemaining
+			aj.Epsilon, aj.EpsilonRemaining = &eps, &rem
+		}
+		return aj
 	}
 	answer := func(w http.ResponseWriter, r *http.Request, q Query) {
 		principal := r.Header.Get(PrincipalHeader)
@@ -422,7 +428,6 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 				// Allow-style hint: the client learns how much (if any)
 				// smaller a charge could still succeed, and nothing else.
 				outcome("budget-exhausted")
-				principalGauge(principal)
 				w.Header().Set(epsilonRemainingHeader, fmt.Sprintf("%g", be.Remaining))
 				writeError(w, http.StatusTooManyRequests, err.Error())
 			case errors.Is(err, dp.ErrNoPrincipal):
@@ -440,36 +445,20 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			}
 			return
 		}
-		aj := AnswerJSON{
-			Denied: a.Denied, Reason: a.Reason, Value: a.Value,
-			Lo: a.Lo, Hi: a.Hi, Interval: a.Interval,
-		}
-		switch {
-		case a.Denied:
-			outcome("denied")
-		case a.Interval:
-			outcome("interval")
-		default:
-			outcome("answered")
-		}
+		aj := released(a)
 		if a.Budgeted {
-			principalGauge(principal)
-			eps, rem := a.Epsilon, a.EpsilonRemaining
-			aj.Epsilon, aj.EpsilonRemaining = &eps, &rem
-			w.Header().Set(epsilonRemainingHeader, fmt.Sprintf("%g", rem))
+			w.Header().Set(epsilonRemainingHeader, fmt.Sprintf("%g", a.EpsilonRemaining))
 		}
 		writeJSON(w, http.StatusOK, aj)
 	}
 	// batchItem renders one batch element with the same outcome accounting
 	// and ε surfacing as the single-query path; only the transport differs
 	// (an in-body error string instead of a per-request status code).
-	batchItem := func(principal string, a Answer, err error) BatchItemJSON {
+	batchItem := func(a Answer, err error) BatchItemJSON {
 		if err != nil {
-			var be *dp.BudgetError
 			switch {
-			case errors.As(err, &be):
+			case errors.Is(err, dp.ErrBudgetExhausted):
 				outcome("budget-exhausted")
-				principalGauge(principal)
 			case errors.Is(err, dp.ErrNoPrincipal):
 				outcome("no-principal")
 			default:
@@ -477,24 +466,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			}
 			return BatchItemJSON{Error: err.Error()}
 		}
-		item := BatchItemJSON{AnswerJSON: AnswerJSON{
-			Denied: a.Denied, Reason: a.Reason, Value: a.Value,
-			Lo: a.Lo, Hi: a.Hi, Interval: a.Interval,
-		}}
-		switch {
-		case a.Denied:
-			outcome("denied")
-		case a.Interval:
-			outcome("interval")
-		default:
-			outcome("answered")
-		}
-		if a.Budgeted {
-			principalGauge(principal)
-			eps, rem := a.Epsilon, a.EpsilonRemaining
-			item.Epsilon, item.EpsilonRemaining = &eps, &rem
-		}
-		return item
+		return BatchItemJSON{AnswerJSON: released(a)}
 	}
 	batchMax := cfg.BatchMax
 	if batchMax == 0 {
@@ -559,7 +531,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			}
 		}
 		for k, i := range qIdx {
-			resp.Answers[i] = batchItem(principal, answers[k], errs[k])
+			resp.Answers[i] = batchItem(answers[k], errs[k])
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})

@@ -34,8 +34,8 @@ type OverlapController struct {
 	// times id appears across the candidate's rows IS |candidate ∩ set id|.
 	byRow map[int][]int
 	// scratch is the per-Admit id → overlap counter, retained to avoid
-	// reallocating the map on every query. The controller is serialized by
-	// the caller (Server.stateMu), so one scratch map suffices.
+	// reallocating the map on every query. The server calls Admit only under
+	// its privacy-state lock (privacyState.commit), so one map suffices.
 	scratch map[int]int
 }
 
@@ -65,7 +65,7 @@ func NewOverlapController(minSetSize, maxOverlap, maxTracked int) (*OverlapContr
 // Admit decides whether a query with the given query set may be answered;
 // admitted sets are remembered. rows must be sorted ascending and unique
 // (QuerySet returns them that way). Not safe for concurrent use — the
-// server serializes calls on its state mutex.
+// server serializes calls on its privacy-state lock.
 func (oc *OverlapController) Admit(rows []int) (bool, string) {
 	if len(rows) < oc.minSetSize {
 		return false, fmt.Sprintf("query set size %d below %d", len(rows), oc.minSetSize)
@@ -96,24 +96,4 @@ func (oc *OverlapController) Answered() int { return oc.nAnswered }
 // Stats reports the answered-history size and its cap.
 func (oc *OverlapController) Stats() (tracked, capacity int) {
 	return oc.nAnswered, oc.maxTracked
-}
-
-// sortedOverlap counts the intersection of two sorted ascending int slices.
-// The indexed Admit path no longer uses it per query; it remains the
-// reference the property tests compare the index against.
-func sortedOverlap(a, b []int) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }

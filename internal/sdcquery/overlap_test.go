@@ -172,3 +172,22 @@ func TestOverlapRestrictionAllowsDisjointWorkload(t *testing.T) {
 		t.Errorf("counts %v + %v != 9", a.Value, b.Value)
 	}
 }
+
+// sortedOverlap counts the intersection of two sorted ascending int slices:
+// the reference the property tests compare the indexed Admit against.
+func sortedOverlap(a, b []int) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}

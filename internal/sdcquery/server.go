@@ -13,7 +13,6 @@ import (
 	"privacy3d/internal/dp"
 	"privacy3d/internal/noise"
 	"privacy3d/internal/par"
-	"privacy3d/internal/stats"
 	"privacy3d/internal/store"
 )
 
@@ -287,15 +286,13 @@ type Config struct {
 // semantics are an explicit opt-in (Config.UnboundedQueryLog).
 //
 // Server is safe for concurrent use, and the hot path is built for
-// sustained load: the stateless protections (none, size restriction,
-// perturbation, camouflage, random sample, differential privacy) evaluate
-// the query set and compute their answer without taking any server-wide
-// lock — the dataset is immutable, perturbation/camouflage/sample/dp noise
-// is a pure function of (Seed, [principal,] query), the query-log append is
-// an O(1) bounded-ring operation, and dp budget accounting runs on the
-// lock-striped dp.Ledger. Only the stateful protections (auditing, overlap
-// control) serialize, on their own mutex, and only around their
-// check-and-commit — never around the full-table scan. Repeated
+// sustained load: every protection evaluates the query set and computes its
+// answer without taking any server-wide lock — the dataset is immutable,
+// perturbation/camouflage/sample/dp noise is a pure function of (Seed,
+// [principal,] query), and the query-log append is an O(1) bounded-ring
+// operation. The stateful protections (auditing, overlap control,
+// differential privacy's ε budget) then take the one privacy-state lock for
+// their check-and-commit only — never around the full-table scan. Repeated
 // (principal, query) shapes are served from a bounded answer cache without
 // re-scanning at all.
 type Server struct {
@@ -314,21 +311,13 @@ type Server struct {
 	// cache serves repeated (principal, query) shapes; nil when disabled.
 	cache *answerCache
 
-	// The stateful protections are serialized by stateMu, separately from
-	// the lock-free stateless read path.
-	stateMu sync.Mutex
-	audn    *auditor
-	overlap *OverlapController
-
-	// DifferentialPrivacy state: the ε-budget ledger and the public
-	// per-attribute bounds the sensitivity rules use. Both are fixed at
-	// construction and internally synchronised (ledger) or immutable
-	// (bounds), so the DP path reads them without locking. dpFlight
-	// serializes identical in-flight (principal, query) first releases on
-	// a striped lock so a concurrent duplicate cannot double-debit ε.
-	ledger   *dp.Ledger
-	bounds   map[string]dp.Bounds
-	dpFlight [64]sync.Mutex
+	// priv records what the stateful protections have released: the ε
+	// ledger, the audited systems and the overlap controller, behind one
+	// lock.
+	priv *privacyState
+	// bounds are the public per-attribute bounds the DP sensitivity rules
+	// use, fixed at construction.
+	bounds map[string]dp.Bounds
 
 	// Batch telemetry: AskBatch submissions and the queries they carried
 	// (batchQueries/batches is the mean batch width the metrics export).
@@ -423,16 +412,11 @@ func NewServerFromStore(st *store.Store, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("sdcquery: size restriction with minsize %d can never answer over %d rows (every query set size falls outside [%d,%d]); lower minsize or serve more rows",
 			cfg.MinSetSize, st.Rows(), cfg.MinSetSize, st.Rows()-cfg.MinSetSize)
 	}
-	oc, err := NewOverlapController(cfg.MinSetSize, cfg.MaxOverlap, cfg.MaxTrackedQueries)
+	priv, err := newPrivacyState(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		st:      st,
-		cfg:     cfg,
-		audn:    newAuditor(),
-		overlap: oc,
-	}
+	s := &Server{st: st, cfg: cfg, priv: priv}
 	if !cfg.UnboundedQueryLog {
 		s.logRing = par.NewRing[Query](cfg.QueryLogCap)
 	}
@@ -440,9 +424,6 @@ func NewServerFromStore(st *store.Store, cfg Config) (*Server, error) {
 		s.cache = newAnswerCache(cfg.AnswerCacheCap)
 	}
 	if cfg.Protection == DifferentialPrivacy {
-		if s.ledger, err = dp.NewLedger(cfg.EpsilonBudget); err != nil {
-			return nil, err
-		}
 		// The bounds of each numeric attribute become fixed public
 		// metadata for the server's lifetime — the sensitivity of SUM and
 		// AVG is derived from them, never from the live query set's
@@ -528,9 +509,9 @@ func (s *Server) CacheStats() (hits, misses int64, entries int, ok bool) {
 // OverlapStats reports the overlap controller's answered-history size and
 // its cap (the Config.MaxTrackedQueries bound).
 func (s *Server) OverlapStats() (tracked, capacity int) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	return s.overlap.Stats()
+	s.priv.mu.Lock()
+	defer s.priv.mu.Unlock()
+	return s.priv.overlap.Stats()
 }
 
 // Rows exposes the current database size (public metadata). It grows as
@@ -604,43 +585,35 @@ func (s *Server) AskAs(principal string, q Query) (Answer, error) {
 	// can only ever serve an answer computed against this exact view —
 	// ingest between requests changes the key, never a cached answer.
 	snap := s.st.Snapshot()
-	key, cacheable := s.cacheKey(principal, snap.Version(), q)
-	return s.askOne(principal, snap, q, key, cacheable, nil)
+	return s.askOne(principal, snap, q, s.cacheKey(principal, snap.Version(), q), nil)
 }
 
 // askOne is the post-log tail shared by AskAs and AskBatch: cache probe,
-// protection dispatch, cache fill. bm, when non-nil, is the query set
+// protection dispatch, then the privacy state's check-and-commit (which
+// fills the cache under its lock) or a plain cache fill. key is the
+// answer-cache key, "" when uncached. bm, when non-nil, is the query set
 // already evaluated against snap (AskBatch precomputes its misses in one
-// sharded sweep); with a nil bm a cache miss evaluates inside the
-// protection path.
-func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key string, cacheable bool, bm *store.Bitmap) (Answer, error) {
-	if cacheable && s.cfg.Protection == DifferentialPrivacy {
-		// Under DP the cache IS the accounting dedup, so two concurrent
-		// identical first requests must not both miss and both charge:
-		// identical keys serialize on a lock stripe, and the second
-		// arrival finds the cache filled. The stateless protections skip
-		// this — a duplicated computation there is byte-identical and
-		// side-effect-free, so their fast path stays lock-free.
-		m := &s.dpFlight[fnvStripe(key, uint64(len(s.dpFlight)))]
-		m.Lock()
-		defer m.Unlock()
-	}
-	if cacheable {
+// sharded sweep). Under DP two concurrent identical first requests may
+// both miss and evaluate, but only the first commit charges ε.
+func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key string, bm *store.Bitmap) (Answer, error) {
+	if key != "" {
 		if a, ok := s.cache.get(key); ok {
-			if a.Budgeted {
-				a.EpsilonRemaining = s.ledger.Remaining(principal, s.cfg.DatasetID)
-			}
-			return a, nil
+			return s.priv.rerelease(principal, a), nil
 		}
 	}
-	a, err := s.answer(principal, snap, q, bm)
+	c, err := s.answer(principal, snap, q, bm)
 	if err != nil {
-		return a, err
+		return Answer{}, err
 	}
-	if cacheable {
-		s.cache.put(key, a)
+	// Only the stateful protections keep a history, and a denial releases
+	// nothing to record.
+	if p := s.cfg.Protection; (p == Auditing || p == OverlapRestriction || p == DifferentialPrivacy) && !c.Denied {
+		return s.priv.commit(s.cache, key, c)
 	}
-	return a, nil
+	if key != "" {
+		s.cache.put(key, c.Answer)
+	}
+	return c.Answer, nil
 }
 
 // AskBatch submits several queries on behalf of one principal and answers
@@ -681,20 +654,21 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 		return answers, errs
 	}
 	// Evaluate every miss in one sharded sweep. The cache probe only picks
-	// which queries skip the sweep: askOne re-checks the cache (under DP
-	// beneath the flight stripe), so a racing eviction costs at worst one
-	// single-query evaluation, never a double ε debit. Queries that fail
+	// which queries skip the sweep: askOne re-checks the cache (and commit
+	// again under the privacy-state lock), so a racing eviction costs at
+	// worst one single-query evaluation, never a double ε debit. Queries that fail
 	// predicate compilation get their error now and are excluded —
 	// EvalBatch fails whole batches, so it only ever sees pre-validated
 	// conjunctions.
 	keys := make([]string, len(qs))
-	cacheable := make([]bool, len(qs))
 	missIdx := make([]int, 0, len(qs))
 	batch := make([][]store.Cond, 0, len(qs))
 	for i, q := range qs {
-		keys[i], cacheable[i] = s.cacheKey(principal, snap.Version(), q)
-		if cacheable[i] && s.cache.has(keys[i]) {
-			continue
+		keys[i] = s.cacheKey(principal, snap.Version(), q)
+		if keys[i] != "" {
+			if _, ok := s.cache.peek(keys[i]); ok {
+				continue
+			}
 		}
 		conds, err := s.storeConds(snap, q.Where)
 		if err != nil {
@@ -723,98 +697,89 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 	// history exactly like the equivalent serial AskAs loop.
 	for i, q := range qs {
 		if errs[i] == nil {
-			answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], cacheable[i], bms[i])
+			answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], bms[i])
 		}
 	}
 	return answers, errs
 }
 
-// fnvStripe maps a key to one of n lock stripes via FNV-1a.
-func fnvStripe(key string, n uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64() % n
-}
-
-// cacheKey returns the answer-cache key of (principal, version, q) and
-// whether the configured protection admits caching at all. The snapshot
+// cacheKey returns the answer-cache key of (principal, version, q), or ""
+// when the configured protection admits no caching at all. The snapshot
 // version joins every key — an answer computed against one version of the
 // growing store must never be served for another. The principal joins only
 // under DifferentialPrivacy — the one protection whose answers depend on
 // who asks; every other protection shares hits across principals.
-func (s *Server) cacheKey(principal string, version uint64, q Query) (string, bool) {
+func (s *Server) cacheKey(principal string, version uint64, q Query) string {
 	if s.cache == nil || s.cfg.Protection == OverlapRestriction {
-		return "", false
+		return ""
 	}
 	v := strconv.FormatUint(version, 10)
 	if s.cfg.Protection == DifferentialPrivacy {
-		return v + "\x00" + principal + "\x00" + q.String(), true
+		return v + "\x00" + principal + "\x00" + q.String()
 	}
-	return v + "\x00" + q.String(), true
+	return v + "\x00" + q.String()
 }
 
-// answer runs the configured protection against the pinned snapshot. The
-// query-set evaluation — index range scans intersected into a bitmap —
-// always runs outside any server-wide lock (the snapshot is immutable);
-// only the stateful protections then serialize, on stateMu, around their
-// atomic check-and-commit. bm, when non-nil, is the already-evaluated
-// query set (the batched miss path); protection dispatch is identical
-// either way, so a precomputed bitmap cannot change a single answer byte.
-func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (Answer, error) {
+// answer runs the configured protection against the pinned snapshot,
+// outside any server-wide lock (the snapshot is immutable): the query-set
+// evaluation — index range scans intersected into a bitmap — and the
+// answer, noise included. For the stateful protections the result is a
+// claim that askOne passes to the privacy state's check-and-commit. bm,
+// when non-nil, is the already-evaluated query set (the batched miss
+// path); protection dispatch is identical either way, so a precomputed
+// bitmap cannot change a single answer byte.
+func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (claim, error) {
 	if s.cfg.Protection == DifferentialPrivacy && principal == "" {
 		// Checked before any evaluation, matching the historical precedence:
 		// an unidentified DP caller learns nothing, not even whether the
 		// predicate compiles.
-		return Answer{}, fmt.Errorf("sdcquery: differential privacy needs a principal for budget accounting: %w", dp.ErrNoPrincipal)
+		return claim{}, fmt.Errorf("sdcquery: differential privacy needs a principal for budget accounting: %w", dp.ErrNoPrincipal)
 	}
 	if bm == nil {
 		var err error
 		if bm, err = s.eval(snap, q.Where); err != nil {
-			return Answer{}, err
+			return claim{}, err
 		}
 	}
 	if s.cfg.Protection == DifferentialPrivacy {
 		return s.dpAnswer(principal, snap, q, bm)
 	}
 	n := bm.Count()
+	var (
+		a   Answer
+		err error
+	)
 	switch s.cfg.Protection {
 	case NoProtection:
-		return s.exact(snap, q, bm, n)
+		a, err = s.exact(snap, q, bm, n)
 	case SizeRestriction:
 		if n < s.cfg.MinSetSize || n > snap.Rows()-s.cfg.MinSetSize {
-			return Answer{Denied: true, Reason: fmt.Sprintf("query set size %d outside [%d,%d]",
-				n, s.cfg.MinSetSize, snap.Rows()-s.cfg.MinSetSize)}, nil
+			a = Answer{Denied: true, Reason: fmt.Sprintf("query set size %d outside [%d,%d]",
+				n, s.cfg.MinSetSize, snap.Rows()-s.cfg.MinSetSize)}
+		} else {
+			a, err = s.exact(snap, q, bm, n)
 		}
-		return s.exact(snap, q, bm, n)
 	case Auditing:
 		return s.audited(snap, q, bm, n)
 	case Perturbation:
-		a, err := s.exact(snap, q, bm, n)
-		if err != nil || a.Denied {
-			return a, err
+		if a, err = s.exact(snap, q, bm, n); err == nil {
+			a.Value += s.perturbNoise(snap.Version(), q)
 		}
-		a.Value += s.perturbNoise(snap.Version(), q)
-		return a, nil
 	case Camouflage:
-		a, err := s.exact(snap, q, bm, n)
-		if err != nil || a.Denied {
-			return a, err
+		if a, err = s.exact(snap, q, bm, n); err == nil {
+			a = s.camouflage(snap.Version(), q, a.Value)
 		}
-		return s.camouflage(snap.Version(), q, a.Value), nil
 	case OverlapRestriction:
-		rows := bm.Rows()
-		s.stateMu.Lock()
-		ok, reason := s.overlap.Admit(rows)
-		s.stateMu.Unlock()
-		if !ok {
-			return Answer{Denied: true, Reason: "overlap control: " + reason}, nil
-		}
-		return s.exact(snap, q, bm, n)
+		// Admission decides before the evaluation error counts, so the
+		// error rides in the claim (see privacyState.commit).
+		a, err = s.exact(snap, q, bm, n)
+		return claim{Answer: a, rows: bm.Rows(), err: err}, nil
 	case RandomSample:
-		return s.sampled(snap, q, bm)
+		a, err = s.sampled(snap, q, bm)
 	default:
-		return Answer{}, fmt.Errorf("sdcquery: unknown protection %v", s.cfg.Protection)
+		err = fmt.Errorf("sdcquery: unknown protection %v", s.cfg.Protection)
 	}
+	return claim{Answer: a}, err
 }
 
 // storeConds validates the predicate against the schema and lowers it to
@@ -901,15 +866,15 @@ func (s *Server) perturbNoise(version uint64, q Query) float64 {
 
 // --- differential privacy ------------------------------------------------
 
-// dpAnswer releases the evaluated query set bm under the calibrated-noise
-// mechanism and debits the principal's ε budget (answer has already
-// rejected unidentified callers). The order matters for both privacy and
-// accounting: the true answer and its sensitivity are computed first (no
-// side effects), then the ledger check-and-debit runs atomically — a
-// refused query releases nothing and costs nothing — and only a granted
-// charge proceeds to noise derivation. Errors wrap dp.ErrBudgetExhausted
-// (ε spent) and carry no information about the data.
-func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (Answer, error) {
+// dpAnswer computes the noisy release of the evaluated query set bm under
+// the calibrated-noise mechanism (answer has already rejected unidentified
+// callers). Everything here is side-effect free: the true answer, its
+// sensitivity and the noise are pure functions of (snapshot, principal,
+// query). The claim it returns is released only if the privacy state's
+// check-and-commit then debits the principal's ε — a refused query
+// releases nothing and costs nothing, with an error wrapping
+// dp.ErrBudgetExhausted that carries no information about the data.
+func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (claim, error) {
 	n := bm.Count()
 	var agg dp.Aggregate
 	var bounds dp.Bounds
@@ -921,14 +886,14 @@ func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *s
 	case Sum, Avg:
 		j, err := aggColumn(snap.Attrs(), q)
 		if err != nil {
-			return Answer{}, err
+			return claim{}, err
 		}
 		bounds = s.bounds[q.Attr]
 		if q.Agg == Avg && n == 0 {
 			// AVG over an empty set has no true value to perturb; deny
-			// like the other protections rather than invent one. No ε is
-			// charged.
-			return Answer{Denied: true, Reason: "differential privacy: empty query set"}, nil
+			// like the other protections rather than invent one. A denial
+			// skips the commit, so no ε is charged.
+			return claim{Answer: Answer{Denied: true, Reason: "differential privacy: empty query set"}}, nil
 		}
 		sum := snap.Sum(bm, j)
 		if q.Agg == Sum {
@@ -939,15 +904,11 @@ func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *s
 			v = sum / float64(n)
 		}
 	default:
-		return Answer{}, fmt.Errorf("sdcquery: unsupported aggregate %v", q.Agg)
+		return claim{}, fmt.Errorf("sdcquery: unsupported aggregate %v", q.Agg)
 	}
 	sens, err := dp.Sensitivity(agg, bounds, n)
 	if err != nil {
-		return Answer{}, err
-	}
-	remaining, err := s.ledger.Charge(principal, s.cfg.DatasetID, s.cfg.Epsilon)
-	if err != nil {
-		return Answer{}, fmt.Errorf("sdcquery: %w", err)
+		return claim{}, err
 	}
 	mech := dp.Laplace
 	if s.cfg.Delta > 0 {
@@ -968,33 +929,28 @@ func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *s
 		Mechanism: mech, Sensitivity: sens, Epsilon: s.cfg.Epsilon, Delta: s.cfg.Delta,
 	})
 	if err != nil {
-		return Answer{}, err
+		return claim{}, err
 	}
-	return Answer{
-		Value:            v + nz,
-		Budgeted:         true,
-		Epsilon:          s.cfg.Epsilon,
-		EpsilonRemaining: remaining,
-	}, nil
+	return claim{Answer: Answer{Value: v + nz}, principal: principal}, nil
 }
 
 // BudgetRemaining reports the principal's unspent ε and whether the server
-// runs budget accounting at all (only DifferentialPrivacy does). The
-// metrics layer samples this per principal at scrape time.
+// runs budget accounting at all (only DifferentialPrivacy does).
 func (s *Server) BudgetRemaining(principal string) (float64, bool) {
-	if s.ledger == nil {
+	if s.priv.ledger == nil {
 		return 0, false
 	}
-	return s.ledger.Remaining(principal, s.cfg.DatasetID), true
+	return s.priv.ledger.Remaining(principal, s.cfg.DatasetID), true
 }
 
 // BudgetPrincipals lists every principal the budget ledger has charged, in
-// sorted order; nil when the server does not run DifferentialPrivacy.
+// sorted order; nil when the server does not run DifferentialPrivacy. The
+// metrics layer exports its length as dp_principals.
 func (s *Server) BudgetPrincipals() []string {
-	if s.ledger == nil {
+	if s.priv.ledger == nil {
 		return nil
 	}
-	return s.ledger.Principals(s.cfg.DatasetID)
+	return s.priv.ledger.Principals(s.cfg.DatasetID)
 }
 
 // camouflage returns an interval that contains the true value but whose
@@ -1070,17 +1026,17 @@ func (s *Server) sampled(snap *store.Snapshot, q Query, bm *store.Bitmap) (Answe
 	}
 }
 
-// audited runs the Chin–Ozsoyoglu check: the query is answered only if the
-// linear system of all answered SUM/AVG/COUNT queries, extended with this
-// one, still leaves every record's confidential value undetermined. The
-// aggregate and the indicator vector are computed before the lock — over
-// the pinned snapshot, so an audit in flight reasons about one consistent
-// version even while ingest continues; only the atomic would-disclose
-// check plus commit serialize on stateMu.
-func (s *Server) audited(snap *store.Snapshot, q Query, bm *store.Bitmap, n int) (Answer, error) {
+// audited prepares the Chin–Ozsoyoglu check: the query is answered only if
+// the linear system of all answered SUM/AVG/COUNT queries, extended with
+// this one, still leaves every record's confidential value undetermined.
+// The aggregate and the indicator vector are computed here, before the
+// lock — over the pinned snapshot, so an audit in flight reasons about one
+// consistent version even while ingest continues; the would-disclose check
+// plus commit is the privacy state's.
+func (s *Server) audited(snap *store.Snapshot, q Query, bm *store.Bitmap, n int) (claim, error) {
 	v, err := s.evalBitmap(snap, q, bm, n)
 	if err != nil {
-		return Answer{}, err
+		return claim{}, err
 	}
 	indicator := make([]float64, snap.Rows())
 	bm.ForEach(func(i int) { indicator[i] = 1 })
@@ -1095,87 +1051,10 @@ func (s *Server) audited(snap *store.Snapshot, q Query, bm *store.Bitmap, n int)
 		// AVG(set) with known |set| is SUM(set); audit the sum.
 		v = v * float64(n)
 	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	if s.audn.wouldDisclose(key, indicator, v) {
-		return Answer{Denied: true, Reason: "auditing: answering would disclose an individual value"}, nil
-	}
-	s.audn.commit(key, indicator, v)
+	c := claim{attr: key, row: auditRow{ind: indicator, ans: v}}
+	c.Value = v
 	if q.Agg == Avg {
-		return Answer{Value: v / float64(n)}, nil
+		c.Value = v / float64(n)
 	}
-	return Answer{Value: v}, nil
-}
-
-// auditor keeps, per audited attribute, the linear system of answered
-// queries: each row is the query-set indicator vector with the answer as the
-// right-hand side. A record's value is disclosed when reduced row echelon
-// form contains a row with exactly one non-zero coefficient.
-//
-// The database grows under ingest, so indicator vectors of different
-// lengths coexist: a query answered when the store held n₀ rows simply has
-// zero coefficients for every row ingested later (those rows were not in
-// its query set by construction), so older vectors are zero-padded to the
-// current width at elimination time.
-type auditor struct {
-	systems map[string][]auditRow
-}
-
-// auditRow is one answered query: its indicator vector (at the length of
-// the database when it was answered) and its answer.
-type auditRow struct {
-	ind []float64
-	ans float64
-}
-
-func newAuditor() *auditor {
-	return &auditor{systems: map[string][]auditRow{}}
-}
-
-func (a *auditor) wouldDisclose(attr string, indicator []float64, answer float64) bool {
-	n := len(indicator)
-	for _, r := range a.systems[attr] {
-		if len(r.ind) > n {
-			n = len(r.ind)
-		}
-	}
-	rows := make([][]float64, 0, len(a.systems[attr])+1)
-	for _, r := range a.systems[attr] {
-		rows = append(rows, augmentTo(r.ind, r.ans, n))
-	}
-	rows = append(rows, augmentTo(indicator, answer, n))
-	return disclosesAny(rows, n)
-}
-
-func (a *auditor) commit(attr string, indicator []float64, answer float64) {
-	a.systems[attr] = append(a.systems[attr], auditRow{ind: indicator, ans: answer})
-}
-
-// augmentTo builds the width-n augmented row [ind… 0… | ans], zero-padding
-// indicators recorded when the database was smaller.
-func augmentTo(ind []float64, ans float64, n int) []float64 {
-	row := make([]float64, n+1)
-	copy(row, ind)
-	row[n] = ans
-	return row
-}
-
-func disclosesAny(rows [][]float64, n int) bool {
-	stats.GaussianEliminate(rows, n)
-	const eps = 1e-9
-	for _, r := range rows {
-		nz := 0
-		for c := 0; c < n; c++ {
-			if r[c] > eps || r[c] < -eps {
-				nz++
-				if nz > 1 {
-					break
-				}
-			}
-		}
-		if nz == 1 {
-			return true
-		}
-	}
-	return false
+	return c, nil
 }

@@ -482,7 +482,7 @@ var (
 // what it would have cost and how much ε is left.
 type BudgetError = dp.BudgetError
 
-// EpsilonLedger is the lock-striped per-(principal, dataset) ε-budget
+// EpsilonLedger is the concurrency-safe per-(principal, dataset) ε-budget
 // ledger behind the DifferentialPrivacy protection, exported for callers
 // that meter their own mechanisms.
 type EpsilonLedger = dp.Ledger
