@@ -159,12 +159,7 @@ func cmdServe(args []string) error {
 	cfg := sdcquery.Config{
 		Protection: prot, MinSetSize: *minSize, Seed: *seed,
 		Epsilon: *epsilon, Delta: *delta, EpsilonBudget: *budget,
-		AnswerCacheCap: *cacheCap, SegmentSize: *o.segment,
-	}
-	if *logCap < 0 {
-		cfg.UnboundedQueryLog = true
-	} else {
-		cfg.QueryLogCap = *logCap
+		QueryLogCap: *logCap, AnswerCacheCap: *cacheCap, SegmentSize: *o.segment,
 	}
 	var srv *sdcquery.Server
 	if recovery {

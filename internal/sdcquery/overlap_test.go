@@ -2,6 +2,7 @@ package sdcquery
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"privacy3d/internal/dataset"
@@ -190,4 +191,42 @@ func sortedOverlap(a, b []int) int {
 		}
 	}
 	return n
+}
+
+// TestOverlapRestrictionRecordsNoFailedQuery pins that a query whose
+// aggregate cannot be computed fails before admission and records no
+// query set: an unknown SUM attribute, an AVG over a categorical one and
+// an unsupported aggregate leave the history empty, so the COUNT over the
+// same set is answered afterwards, not denied for overlapping a query
+// that released nothing. An AVG over the empty set keeps its size denial.
+func TestOverlapRestrictionRecordsNoFailedQuery(t *testing.T) {
+	d := dataset.SyntheticTrial(dataset.TrialConfig{N: 200, Seed: 9})
+	srv, err := NewServer(d, Config{Protection: OverlapRestriction, MinSetSize: 2, MaxOverlap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tall := Predicate{{Col: "height", Op: Ge, V: 180}}
+	for _, q := range []Query{
+		{Agg: Sum, Attr: "nosuch", Where: tall},
+		{Agg: Avg, Attr: "aids", Where: tall},
+		{Agg: Agg(99), Attr: "height", Where: tall},
+	} {
+		if a, err := srv.Ask(q); err == nil {
+			t.Fatalf("%v: answered %+v, want an error", q, a)
+		}
+		if tracked, _ := srv.OverlapStats(); tracked != 0 {
+			t.Fatalf("%v failed but left %d query sets tracked", q, tracked)
+		}
+	}
+	a, err := srv.Ask(Query{Agg: Avg, Attr: "height", Where: Predicate{{Col: "height", Op: Gt, V: 1000}}})
+	if err != nil || !a.Denied || !strings.Contains(a.Reason, "query set size 0 below 2") {
+		t.Fatalf("AVG over the empty set: %+v, %v, want a size denial", a, err)
+	}
+	a, err = srv.Ask(Query{Agg: Count, Where: tall})
+	if err != nil || a.Denied || a.Value < 2 {
+		t.Fatalf("COUNT after the failed queries: %+v, %v, want an answer", a, err)
+	}
+	if tracked, _ := srv.OverlapStats(); tracked != 1 {
+		t.Errorf("%d query sets tracked, want the COUNT's 1", tracked)
+	}
 }

@@ -173,12 +173,10 @@ func TestServerSoakBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestUnboundedLogOptIn pins the evaluator's escape hatch: with
-// UnboundedQueryLog the server retains every query, as the seed did.
+// TestUnboundedLogOptIn pins the evaluator's escape hatch: with a
+// negative QueryLogCap the server retains every query.
 func TestUnboundedLogOptIn(t *testing.T) {
-	srv, err := NewServer(dataset.Dataset2(), Config{
-		Protection: NoProtection, UnboundedQueryLog: true, QueryLogCap: 4,
-	})
+	srv, err := NewServer(dataset.Dataset2(), Config{Protection: NoProtection, QueryLogCap: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

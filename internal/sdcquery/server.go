@@ -237,14 +237,12 @@ type Config struct {
 
 	// QueryLogCap bounds the query log to the newest entries (default
 	// DefaultQueryLogCap). The owner's view becomes a sliding window;
-	// LogStats reports exactly how much older history was shed. Ignored
-	// when UnboundedQueryLog is set.
+	// LogStats reports exactly how much older history was shed. A
+	// negative cap opts into the original append-only full log — the
+	// user-privacy evaluator's literal "the owner sees every query"
+	// reading. A server under sustained load must not: an unbounded log
+	// grows until the process OOMs.
 	QueryLogCap int
-	// UnboundedQueryLog opts into the original append-only full-log
-	// semantics — the user-privacy evaluator's literal "the owner sees
-	// every query" reading. A server under sustained load must leave
-	// this off: an unbounded log grows until the process OOMs.
-	UnboundedQueryLog bool
 	// AnswerCacheCap bounds the answer cache (default
 	// DefaultAnswerCacheCap entries; negative disables caching). The
 	// cache serves repeated (principal, canonical query) shapes without
@@ -283,7 +281,7 @@ type Config struct {
 // every query submitted — the total absence of user privacy that Section 3
 // of the paper builds on. The log is a bounded newest-window ring by
 // default (Config.QueryLogCap, drops counted); the evaluator's full-log
-// semantics are an explicit opt-in (Config.UnboundedQueryLog).
+// semantics are an explicit opt-in (a negative Config.QueryLogCap).
 //
 // Server is safe for concurrent use, and the hot path is built for
 // sustained load: every protection evaluates the query set and computes its
@@ -394,7 +392,7 @@ func NewServerFromStore(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.DatasetID == "" {
 		cfg.DatasetID = "served"
 	}
-	if cfg.QueryLogCap <= 0 {
+	if cfg.QueryLogCap == 0 {
 		cfg.QueryLogCap = DefaultQueryLogCap
 	}
 	if cfg.AnswerCacheCap == 0 {
@@ -417,7 +415,7 @@ func NewServerFromStore(st *store.Store, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{st: st, cfg: cfg, priv: priv}
-	if !cfg.UnboundedQueryLog {
+	if cfg.QueryLogCap > 0 {
 		s.logRing = par.NewRing[Query](cfg.QueryLogCap)
 	}
 	if cfg.AnswerCacheCap > 0 {
@@ -770,10 +768,15 @@ func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *sto
 			a = s.camouflage(snap.Version(), q, a.Value)
 		}
 	case OverlapRestriction:
-		// Admission decides before the evaluation error counts, so the
-		// error rides in the claim (see privacyState.commit).
-		a, err = s.exact(snap, q, bm, n)
-		return claim{Answer: a, rows: bm.Rows(), err: err}, nil
+		// An invalid aggregate fails before admission, so it records no
+		// query set. The one error exact has left, AVG over the empty
+		// set, is never released: admission denies every set below
+		// MinSetSize ≥ 1, so that query gets its size denial.
+		if _, err := aggColumn(snap.Attrs(), q); err != nil {
+			return claim{}, err
+		}
+		a, _ = s.exact(snap, q, bm, n)
+		return claim{Answer: a, rows: bm.Rows()}, nil
 	case RandomSample:
 		a, err = s.sampled(snap, q, bm)
 	default:

@@ -54,9 +54,6 @@ type claim struct {
 	attr      string   // Auditing: the linear system the row joins
 	row       auditRow // Auditing: the query's indicator and sum
 	rows      []int    // OverlapRestriction: the query set
-	// err is OverlapRestriction's evaluation error: a denial takes
-	// precedence over it, and an admitted set stays recorded.
-	err error
 }
 
 // commit is the one check-and-commit of an answer. Under mu it re-checks
@@ -91,8 +88,6 @@ func (ps *privacyState) commit(cache *answerCache, key string, c claim) (Answer,
 	case OverlapRestriction:
 		if ok, reason := ps.overlap.Admit(c.rows); !ok {
 			a = Answer{Denied: true, Reason: "overlap control: " + reason}
-		} else if c.err != nil {
-			return Answer{}, c.err
 		}
 	}
 	if key != "" {

@@ -364,7 +364,7 @@ func BenchmarkLoadSpilled(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	src := s.Snapshot().segs[0].src.(*fileSource)
+	src := s.Snapshot().segs[0].src
 	b.SetBytes(src.size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,10 +10,9 @@ import (
 
 // TestSegmentFormatsDecodeToSealedSegment pins decode(encode(seg)) to the
 // sealed segment, bit for bit — NaN payloads, −0 and +0 included — for
-// every column kind of indexColumns, through the SEG v3 writer and
-// through the SEG v2 and v1 encodings older writers left, at a short, the
-// default and the largest segment size. Each form's footprint must be
-// exactly the bytes its slices hold.
+// every column kind of indexColumns, through the SEG v3 writer, at a
+// short, the default and the largest segment size. Each form's footprint
+// must be exactly the bytes its slices hold.
 func TestSegmentFormatsDecodeToSealedSegment(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(20))
@@ -33,8 +32,6 @@ func TestSegmentFormatsDecodeToSealedSegment(t *testing.T) {
 			buf  []byte
 		}{
 			{"v3", v3},
-			{"v2", encodeSegV2(t, 3*n, sealed)},
-			{"v1", encodeSegV1(t, 3*n, sealed)},
 		} {
 			base, d, err := decodeSegment(&blockReader{buf: f.buf, name: f.name}, attrs)
 			if err != nil {
@@ -56,16 +53,15 @@ func TestSegmentFormatsDecodeToSealedSegment(t *testing.T) {
 	}
 }
 
-// TestOpenAccountsDecodedFootprints pins the resident bytes of a store
-// opened over SEG v1, v2 and v3 files, once every segment is promoted, to
-// the bytes the decoded segments hold, and each handle's accounted bytes
-// and committed footprint to its segment's.
+// TestOpenAccountsDecodedFootprints pins the resident bytes of a reopened
+// store, once every segment is promoted, to the bytes the decoded
+// segments hold, and each handle's accounted bytes and committed
+// footprint to its segment's.
 func TestOpenAccountsDecodedFootprints(t *testing.T) {
 	dir := t.TempDir()
 	if err := createPersistStore(t, dir, persistTestRows, Options{}).Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	downgradeSegments(t, dir, mixedFormat)
 	r, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -81,8 +77,8 @@ func TestOpenAccountsDecodedFootprints(t *testing.T) {
 		d := sg.mustAcquire()
 		h := heldBytes(reflect.ValueOf(d))
 		if sg.bytes != h || m.Segments[i].Decoded != h {
-			t.Errorf("segment %d (%s): handle accounts %d bytes and the manifest %d, the segment holds %d",
-				i, mixedFormat(i).magic(), sg.bytes, m.Segments[i].Decoded, h)
+			t.Errorf("segment %d: handle accounts %d bytes and the manifest %d, the segment holds %d",
+				i, sg.bytes, m.Segments[i].Decoded, h)
 		}
 		held += h
 	}

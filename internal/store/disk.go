@@ -41,19 +41,12 @@ import (
 // permutation to get wrong. A tail column holds rows × f64 values or
 // rows × u32 codes: the tail is always evaluated by the compiled scan.
 //
-// Older segment files still decode, converted into the dictionary-coded
-// form by the seal build over their raw columns. SEG v2 ("P3DSEG02") held
-// per column the raw values (rows × f64 or rows × u32) and the persisted
-// index: numeric permLen u32, permLen × u32 perm, (rows-permLen) × u32 NaN
-// rows; categorical rows × u32 perm. SEG v1 ("P3DSEG01") also followed
-// every permutation with a sorted copy of the values it orders (permLen ×
-// f64 after a numeric perm, rows × u32 after a categorical one). The
-// decoder skips those index blocks.
+// SEG v3 is the only segment format read. Files of the earlier formats
+// ("P3DSEG01", "P3DSEG02") fail to decode on their magic, like any other
+// unknown bytes.
 const (
-	segMagic   = "P3DSEG03"
-	segMagicV2 = "P3DSEG02"
-	segMagicV1 = "P3DSEG01"
-	tailMagic  = "P3DTAIL1"
+	segMagic  = "P3DSEG03"
+	tailMagic = "P3DTAIL1"
 
 	tagNumeric     = 1
 	tagCategorical = 2
@@ -97,43 +90,51 @@ func putSlice[T float64 | uint32 | uint16](cw *crcWriter, vals []T) {
 	cw.bytes(appendLE(nil, vals))
 }
 
-// writeFile writes a block file to name inside dir via tmp + fsync +
-// atomic rename: body writes everything before the CRC footer, which
-// writeFile appends. It returns the final size and the CRC of the whole
-// file, footer included, as the manifest records them.
-func writeFile(dir, name string, body func(cw *crcWriter)) (int64, uint32, error) {
+// writeFile writes a block file to name inside dir (writeAtomic): body
+// writes everything before the CRC footer, which writeFile appends. It
+// returns the final size and the CRC of the whole file, footer included,
+// as the manifest records them.
+func writeFile(dir, name string, body func(cw *crcWriter)) (size int64, fileCRC uint32, err error) {
+	err = writeAtomic(dir, name, func(f *os.File) error {
+		cw := &crcWriter{w: bufio.NewWriter(f)}
+		body(cw)
+		cw.u32(cw.crc)
+		fileCRC = cw.crc
+		if err := cw.w.Flush(); err != nil {
+			return err
+		}
+		size, err = f.Seek(0, io.SeekCurrent)
+		return err
+	})
+	return size, fileCRC, err
+}
+
+// writeAtomic is the store's one way to write a file: write fills a temp
+// file in dir, which is fsync'd and atomically renamed to name, and then
+// the directory is fsync'd. name so holds all of the bytes or none of
+// them, durably, and a temp file a crash leaves carries tmpInfix for
+// sweepOrphans to remove.
+func writeAtomic(dir, name string, write func(f *os.File) error) error {
 	tmp, err := os.CreateTemp(dir, name+tmpInfix+"*")
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	defer os.Remove(tmp.Name())
-	cw := &crcWriter{w: bufio.NewWriter(tmp)}
-	body(cw)
-	cw.u32(cw.crc)
-	fileCRC := cw.crc
-	if err := cw.w.Flush(); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return 0, 0, err
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return 0, 0, err
-	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		tmp.Close()
-		return 0, 0, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return 0, 0, err
+		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return 0, 0, err
-	}
-	return size, fileCRC, nil
+	return syncDir(dir)
 }
 
 // writeTailFile writes the first rows rows of the open tail's columns as
@@ -291,41 +292,36 @@ func appendLE[T float64 | uint32 | uint16](b []byte, vals []T) []byte {
 	return b
 }
 
-// header decodes a block header: the magic, which must be one of magics,
-// the column count, which must match the schema, and the row count, which
+// header decodes a block header: the magic, which must be magic, the
+// column count, which must match the schema, and the row count, which
 // must fit a segment.
-func (br *blockReader) header(attrs []dataset.Attribute, magics ...string) (magic string, rows, base int, err error) {
+func (br *blockReader) header(attrs []dataset.Attribute, magic string) (rows, base int, err error) {
 	head, err := br.take(8)
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
-	magic = string(head)
-	known := false
-	for _, m := range magics {
-		known = known || magic == m
-	}
-	if !known {
-		return "", 0, 0, fmt.Errorf("store: %s: bad magic %q (want one of %q)", br.name, head, magics)
+	if string(head) != magic {
+		return 0, 0, fmt.Errorf("store: %s: bad magic %q (want %q)", br.name, head, magic)
 	}
 	ncols, err := br.u32()
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	if int(ncols) != len(attrs) {
-		return "", 0, 0, fmt.Errorf("store: %s: %d columns, schema has %d", br.name, ncols, len(attrs))
+		return 0, 0, fmt.Errorf("store: %s: %d columns, schema has %d", br.name, ncols, len(attrs))
 	}
 	rows32, err := br.u32()
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	if rows32 > MaxSegmentSize {
-		return "", 0, 0, fmt.Errorf("store: %s: %d rows, at most %d fit a segment", br.name, rows32, MaxSegmentSize)
+		return 0, 0, fmt.Errorf("store: %s: %d rows, at most %d fit a segment", br.name, rows32, MaxSegmentSize)
 	}
 	base64, err := br.u64()
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
-	return magic, int(rows32), int(base64), nil
+	return int(rows32), int(base64), nil
 }
 
 // tag decodes column j's tag, which must match the schema's kind, and
@@ -362,7 +358,7 @@ func (br *blockReader) end() error {
 
 // decodeTail decodes a tail block into raw columns.
 func decodeTail(br *blockReader, attrs []dataset.Attribute) (base, rows int, nums [][]float64, cats [][]uint32, err error) {
-	if _, rows, base, err = br.header(attrs, tailMagic); err != nil {
+	if rows, base, err = br.header(attrs, tailMagic); err != nil {
 		return 0, 0, nil, nil, err
 	}
 	nums, cats = make([][]float64, len(attrs)), make([][]uint32, len(attrs))
@@ -383,38 +379,25 @@ func decodeTail(br *blockReader, attrs []dataset.Attribute) (base, rows int, num
 	return base, rows, nums, cats, br.end()
 }
 
-// decodeSegment decodes a sealed segment file of any format into its
-// dictionary-coded form.
+// decodeSegment decodes a SEG v3 segment file: each column's dictionary
+// and codes, and the index rebuilt from them.
 func decodeSegment(br *blockReader, attrs []dataset.Attribute) (base int, d *segData, err error) {
-	magic, rows, base, err := br.header(attrs, segMagic, segMagicV2, segMagicV1)
+	rows, base, err := br.header(attrs, segMagic)
 	if err != nil {
 		return 0, nil, err
 	}
-	if magic == segMagic {
-		d, err = br.segV3(attrs, rows)
-	} else {
-		d, err = br.segLegacy(attrs, rows, magic == segMagicV1)
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return base, d, br.end()
-}
-
-// segV3 decodes the columns of a SEG v3 segment and rebuilds their index.
-func (br *blockReader) segV3(attrs []dataset.Attribute, rows int) (*segData, error) {
-	d := &segData{n: rows, nums: make([]dictCol[float64], len(attrs)), cats: make([]dictCol[uint32], len(attrs))}
+	d = &segData{n: rows, nums: make([]dictCol[float64], len(attrs)), cats: make([]dictCol[uint32], len(attrs))}
 	for j, a := range attrs {
 		numeric, err := br.tag(a, j)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		ndict, err := br.u32()
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		if int64(ndict) > int64(rows) {
-			return nil, fmt.Errorf("store: %s: column %d has %d dictionary entries for %d rows", br.name, j, ndict, rows)
+			return 0, nil, fmt.Errorf("store: %s: column %d has %d dictionary entries for %d rows", br.name, j, ndict, rows)
 		}
 		if numeric {
 			err = decodeCol(br, &d.nums[j], int(ndict), rows, j, entryLess)
@@ -422,10 +405,10 @@ func (br *blockReader) segV3(attrs []dataset.Attribute, rows int) (*segData, err
 			err = decodeCol(br, &d.cats[j], int(ndict), rows, j, func(a, b uint32) bool { return a < b })
 		}
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 	}
-	return d, nil
+	return base, d, br.end()
 }
 
 // decodeCol decodes one SEG v3 column into c: a dictionary strictly
@@ -461,46 +444,6 @@ func decodeCol[T float64 | uint32](br *blockReader, c *dictCol[T], ndict, rows, 
 	}
 	c.dict, c.codes, c.start, c.perm = dict, codes, start, perm
 	return nil
-}
-
-// segLegacy decodes the raw columns of a SEG v2 (or, with v1, SEG v1)
-// segment, skipping its persisted index blocks, and dictionary-codes them
-// as a seal does.
-func (br *blockReader) segLegacy(attrs []dataset.Attribute, rows int, v1 bool) (*segData, error) {
-	nums, cats := make([][]float64, len(attrs)), make([][]uint32, len(attrs))
-	for j, a := range attrs {
-		numeric, err := br.tag(a, j)
-		if err != nil {
-			return nil, err
-		}
-		skip := 4 * rows // the index: numeric perm and NaN rows, or categorical perm
-		if numeric {
-			if nums[j], err = readSlice[float64](br, rows); err != nil {
-				return nil, err
-			}
-			permLen, err := br.u32()
-			if err != nil {
-				return nil, err
-			}
-			if int64(permLen) > int64(rows) {
-				return nil, fmt.Errorf("store: %s: column %d perm length %d > rows %d", br.name, j, permLen, rows)
-			}
-			if v1 {
-				skip += 8 * int(permLen) // the sorted copy
-			}
-		} else {
-			if cats[j], err = readSlice[uint32](br, rows); err != nil {
-				return nil, err
-			}
-			if v1 {
-				skip += 4 * rows
-			}
-		}
-		if _, err := br.take(skip); err != nil {
-			return nil, err
-		}
-	}
-	return buildSegData(nums, cats), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file is durable.

@@ -71,17 +71,27 @@ func reCRC(buf []byte) []byte {
 // index — every code naming a dictionary entry, perm a permutation of
 // the rows ordered by code then row, start where each code's rows begin —
 // so evaluating a plan over it cannot panic either, and an accepted SEG
-// v3 file must re-encode to its own bytes. The seeds include v3, v2 and
-// v1 files, their truncations, and hostile v3 files that must fail with an
-// error: an unsorted dictionary, a duplicate bit pattern, a code past the
-// dictionary, a NaN entry before a number, and a column cut short.
+// v3 file must re-encode to its own bytes. The seeds include a v3 file,
+// the same file under the SEG v2 and v1 magics (formats no longer read,
+// which must fail with an error), their truncations, and hostile v3
+// files that must fail with an error: an unsorted dictionary, a duplicate
+// bit pattern, a code past the dictionary, a NaN entry before a number,
+// and a column cut short.
 func FuzzDecodeSegment(f *testing.F) {
 	v3 := fuzzSegment(f)
 	_, d, err := decodeSegment(&blockReader{buf: v3, name: "seed"}, fuzzAttrs)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{v3, encodeSegV2(f, 0, d), encodeSegV1(f, 0, d)} {
+	seeds := [][]byte{v3}
+	for _, magic := range []string{"P3DSEG02", "P3DSEG01"} {
+		old := reCRC(append([]byte(magic), v3[len(magic):]...))
+		if _, _, err := decodeSegment(&blockReader{buf: old, name: magic}, fuzzAttrs); err == nil {
+			f.Fatalf("a %s segment decodes", magic)
+		}
+		seeds = append(seeds, old)
+	}
+	for _, seed := range seeds {
 		f.Add(seed)
 		for _, cut := range []int{len(seed) - 1, len(seed) - 5, len(seed) / 2, 40, 8} {
 			f.Add(seed[:cut])
@@ -292,23 +302,22 @@ func addCorruptions(f *testing.F, buf []byte) {
 	}
 }
 
-// FuzzDecodeManifest drives both manifest decoders — P3DMAN02 and the
-// read-only P3DMAN01 — with arbitrary bytes: neither may panic, and Open's
-// zone validation must not panic on whatever they accept. A P3DMAN02
-// manifest that decodes must be exactly the writer's encoding of what it
-// decodes to, and the writer's encoding of any accepted manifest must
-// decode back to one with the same encoding, so whatever a commit writes
-// is what Open reads. (A P3DMAN01 manifest the binary layout cannot hold —
-// a segment without zones, say — is one Open upgrades by decoding.)
+// FuzzDecodeManifest drives the manifest decoder with arbitrary bytes: it
+// may not panic, and Open's zone validation must not panic on whatever it
+// accepts. A manifest that decodes must be exactly the writer's encoding
+// of what it decodes to, and the writer's encoding of any accepted
+// manifest must decode back to one with the same encoding, so whatever a
+// commit writes is what Open reads. The seeds include manifests of the
+// P3DMAN01 layout, which is no longer read: each must fail with an error.
 func FuzzDecodeManifest(f *testing.F) {
 	man, _ := fuzzStoreFiles(f)
 	m, err := decodeManifest(man)
-	if err != nil || len(m.Segments) != 2 || m.Tail == nil || m.DictLen == 0 || m.v1 {
+	if err != nil || len(m.Segments) != 2 || m.Tail == nil || m.DictLen == 0 {
 		f.Fatalf("seed manifest: %+v, %v", m, err)
 	}
-	v1 := encodeManifestV1(f, m)
-	if m1, err := decodeManifest(v1); err != nil || !m1.v1 || len(m1.Segments) != 2 {
-		f.Fatalf("seed P3DMAN01 manifest: %+v, %v", m1, err)
+	v1 := p3dman01(f, m)
+	if _, err := decodeManifest(v1); err == nil {
+		f.Fatalf("a P3DMAN01 manifest decodes")
 	}
 	for _, seed := range [][]byte{man, v1} {
 		flipped := append([]byte(nil), seed...)
@@ -323,7 +332,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		`{"segments":[{"file":"x","zones":[]}]}`,
 		`{"seg_size":0,"shards":16,"segments":[]}`, // a size no store seals
 	} {
-		raw := binary.LittleEndian.AppendUint32([]byte(manifestMagicV1), uint32(len(payload)))
+		raw := binary.LittleEndian.AppendUint32([]byte("P3DMAN01"), uint32(len(payload)))
 		raw = binary.LittleEndian.AppendUint32(append(raw, payload...), crc32.ChecksumIEEE([]byte(payload)))
 		f.Add(raw)
 	}
@@ -341,14 +350,11 @@ func FuzzDecodeManifest(f *testing.F) {
 			t.Fatalf("segment size %d accepted", m.SegSize)
 		}
 		for i := range m.Segments {
-			_ = validateZones(&m.Segments[i], len(m.Attrs))
+			_ = validateZones(&m.Segments[i])
 		}
 		re, err := encodeManifest(m)
-		if !m.v1 && (err != nil || !bytes.Equal(re, raw)) {
-			t.Fatalf("an accepted P3DMAN02 manifest is not the writer's encoding of it (%v)", err)
-		}
-		if err != nil {
-			return
+		if err != nil || !bytes.Equal(re, raw) {
+			t.Fatalf("an accepted manifest is not the writer's encoding of it (%v)", err)
 		}
 		m2, err := decodeManifest(re)
 		if err != nil {

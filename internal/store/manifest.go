@@ -2,10 +2,8 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,14 +46,13 @@ import (
 //	crc         u32 CRC-32 (IEEE) over everything before it
 //
 // Every field has one encoding, so a manifest that decodes re-encodes to
-// its own bytes. Manifests written before this layout ("P3DMAN01": u32
-// payload length, JSON payload, u32 CRC-32 of the payload) are still read
-// and never written: the first commit after opening one writes P3DMAN02.
+// its own bytes. P3DMAN02 is the only layout read: a manifest of the
+// earlier JSON layout ("P3DMAN01") fails to decode on its magic.
 //
-// Commits write the manifest to a temp file, fsync it, atomically rename
-// it to its sequence name, and fsync the directory — so a manifest either
-// exists completely or not at all, and every file it references was
-// fsync'd before the rename. Recovery (Open) walks manifests newest-first
+// Commits write the manifest through writeAtomic — a temp file, fsync'd,
+// atomically renamed to its sequence name, then a directory fsync — so a
+// manifest either exists completely or not at all, and every file it
+// references was fsync'd before the rename. Recovery (Open) walks manifests newest-first
 // and adopts the first one whose own checksum verifies and whose
 // referenced files check out (see validateManifest); anything newer is a
 // torn or corrupted commit and is deleted, and Open's commit sweeps the
@@ -66,14 +63,13 @@ import (
 // tail file it supersedes by name, without listing the directory — the
 // tail file only once neither kept manifest names it.
 const (
-	manifestMagic   = "P3DMAN02"
-	manifestMagicV1 = "P3DMAN01"
-	manifestPrefix  = "MANIFEST-"
-	segPrefix       = "SEG-"
-	tailPrefix      = "TAIL-"
-	dictFileName    = "DICT"
-	lockFileName    = "LOCK"
-	tmpInfix        = ".tmp" // in the name of every file a write has yet to rename
+	manifestMagic  = "P3DMAN02"
+	manifestPrefix = "MANIFEST-"
+	segPrefix      = "SEG-"
+	tailPrefix     = "TAIL-"
+	dictFileName   = "DICT"
+	lockFileName   = "LOCK"
+	tmpInfix       = ".tmp" // in the name of every file a write has yet to rename
 
 	segNameDigits  = 8  // SEG-%08d
 	tailNameDigits = 10 // TAIL-%010d
@@ -85,22 +81,15 @@ const (
 // accounts, unknowable from the file size alone because NaN counts change
 // index shapes), and — for sealed segments — one zone map per schema
 // column as the IEEE-754 bit patterns of [min, max], so −0, ±Inf and the
-// empty zone of an all-NaN column round-trip exactly. A P3DMAN02 manifest
-// records both for every segment, in dictionary-coded terms; P3DMAN01
-// manifests written before zones were persisted omit the zones, and
-// older ones record the footprint of a SEG v1 or v2 layout.
+// empty zone of an all-NaN column round-trip exactly.
 type manifestBlock struct {
-	File    string      `json:"file"`
-	Rows    int         `json:"rows"`
-	Size    int64       `json:"size"`
-	CRC     uint32      `json:"crc"`
-	Decoded int64       `json:"decoded,omitempty"`
-	Zones   [][2]uint64 `json:"zones,omitempty"`
+	File    string
+	Rows    int
+	Size    int64
+	CRC     uint32
+	Decoded int64
+	Zones   [][2]uint64
 
-	// legacy is set by validation of a P3DMAN01 manifest when the file is
-	// a SEG v1 or v2 segment, whose recorded Decoded is the footprint of
-	// the raw columns and 32-bit indexes those formats decoded to.
-	legacy bool
 	// buf holds a tail file's bytes, read and checksummed by validation,
 	// for Open to decode.
 	buf []byte
@@ -115,11 +104,8 @@ func encodeZones(zs []zone) [][2]uint64 {
 	return out
 }
 
-// decodeZones is encodeZones' inverse; nil stays nil (a legacy manifest).
+// decodeZones is encodeZones' inverse.
 func decodeZones(bits [][2]uint64) []zone {
-	if bits == nil {
-		return nil
-	}
 	zs := make([]zone, len(bits))
 	for j, b := range bits {
 		zs[j] = zone{math.Float64frombits(b[0]), math.Float64frombits(b[1])}
@@ -129,20 +115,17 @@ func decodeZones(bits [][2]uint64) []zone {
 
 // manifest is commit S's full description of the durable state.
 type manifest struct {
-	SegSize   int                 `json:"seg_size"`
-	Shards    int                 `json:"shards"`
-	Epoch     uint64              `json:"epoch"`
-	Version   uint64              `json:"version"` // informational; epoch is what recovery needs
-	Attrs     []dataset.Attribute `json:"attrs"`
-	DictLen   int                 `json:"dict_len"`   // committed dictionary entries
-	DictBytes int64               `json:"dict_bytes"` // committed DICT prefix length
-	DictCRC   uint32              `json:"dict_crc"`   // CRC-32 of that prefix
-	Segments  []manifestBlock     `json:"segments"`
-	Tail      *manifestBlock      `json:"tail,omitempty"`
+	SegSize   int
+	Shards    int
+	Epoch     uint64
+	Version   uint64 // informational; epoch is what recovery needs
+	Attrs     []dataset.Attribute
+	DictLen   int    // committed dictionary entries
+	DictBytes int64  // committed DICT prefix length
+	DictCRC   uint32 // CRC-32 of that prefix
+	Segments  []manifestBlock
+	Tail      *manifestBlock
 
-	// v1 is set when the manifest was read from a P3DMAN01 file, whose
-	// segments may lack zones or be accounted in a SEG v1 or v2 layout.
-	v1 bool
 	// dict holds the committed DICT prefix, read and checksummed by
 	// validation, for Open to decode.
 	dict []byte
@@ -208,33 +191,16 @@ func listManifests(dir string) ([]uint64, error) {
 	return manifestSeqs(names), nil
 }
 
-// writeManifest commits m as sequence seq: temp write + fsync + atomic
-// rename + directory fsync.
+// writeManifest commits m as sequence seq (writeAtomic).
 func writeManifest(dir string, seq uint64, m *manifest) error {
 	buf, err := encodeManifest(m)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "manifest"+tmpInfix+"*")
-	if err != nil {
+	return writeAtomic(dir, manifestFileName(seq), func(f *os.File) error {
+		_, err := f.Write(buf)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestFileName(seq))); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // segRecordSize is the width of one segment record of a P3DMAN02
@@ -329,41 +295,6 @@ func readManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-// decodeManifest checksum-verifies and parses the bytes of one manifest
-// file of either layout.
-func decodeManifest(raw []byte) (*manifest, error) {
-	if len(raw) >= len(manifestMagic) {
-		switch string(raw[:len(manifestMagic)]) {
-		case manifestMagic:
-			return decodeManifestV2(raw)
-		case manifestMagicV1:
-			return decodeManifestV1(raw)
-		}
-	}
-	return nil, fmt.Errorf("not a manifest")
-}
-
-// decodeManifestV1 parses a P3DMAN01 (JSON) manifest.
-func decodeManifestV1(raw []byte) (*manifest, error) {
-	if len(raw) < len(manifestMagicV1)+8 {
-		return nil, fmt.Errorf("not a manifest")
-	}
-	n := binary.LittleEndian.Uint32(raw[len(manifestMagicV1):])
-	body := raw[len(manifestMagicV1)+4:]
-	if uint32(len(body)) != n+4 {
-		return nil, fmt.Errorf("truncated manifest (%d payload bytes, header says %d)", len(body)-4, n)
-	}
-	payload, sum := body[:n], binary.LittleEndian.Uint32(body[n:])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("manifest checksum mismatch")
-	}
-	m := &manifest{v1: true}
-	if err := json.Unmarshal(payload, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // manifestReader reads a P3DMAN02 body field by field out of a
 // blockReader, which never reads into the CRC footer. Its first error
 // sticks and every later read returns zero, so a decoder checks err once.
@@ -420,10 +351,14 @@ func (r *manifestReader) count(width int) int {
 	return n
 }
 
-// decodeManifestV2 parses a P3DMAN02 (binary) manifest.
-func decodeManifestV2(raw []byte) (*manifest, error) {
+// decodeManifest checksum-verifies and parses the bytes of one P3DMAN02
+// manifest file.
+func decodeManifest(raw []byte) (*manifest, error) {
 	if len(raw) < len(manifestMagic)+4 {
 		return nil, fmt.Errorf("truncated manifest (%d bytes)", len(raw))
+	}
+	if magic := raw[:len(manifestMagic)]; string(magic) != manifestMagic {
+		return nil, fmt.Errorf("manifest magic %q: only the %q layout is read", magic, manifestMagic)
 	}
 	if crc32.ChecksumIEEE(raw[:len(raw)-4]) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
 		return nil, fmt.Errorf("manifest checksum mismatch")
@@ -482,44 +417,33 @@ func decodeManifestV2(raw []byte) (*manifest, error) {
 
 // validateManifest checks the manifest's segment size (checkSegmentSize:
 // a size a store could never have sealed would otherwise open as the
-// default and fail every row-count check), the names of the files it
-// references, and the files themselves. A sealed segment file is checked
-// for existence and exact size only, with one stat: its checksum is
-// verified on every read (fileSource.Load), where the bytes are in memory
-// anyway, so Open reads no segment. Only a P3DMAN01 manifest has each
-// segment file's magic read, to note SEG v1 and v2, whose footprints it
-// records in their own layouts; a P3DMAN02 manifest records every one in
-// dictionary-coded terms. The tail file and the committed DICT prefix,
-// which Open decodes in full, are read and checksummed here, and their
-// bytes kept for Open, so a torn tail or dictionary fails the commit and
-// recovery falls back to the previous one. The prefix is read through
-// dict, the DICT handle Open keeps for appends.
+// default and fail every row-count check), that each segment is named for
+// its ordinal, each zone map, and the files themselves. A sealed segment
+// file is checked for existence and exact size only, with one stat: its
+// checksum is verified on every read (fileSource.Load), where the bytes
+// are in memory anyway, so Open reads no segment. The tail file and the
+// committed DICT prefix, which Open decodes in full, are read and
+// checksummed here, and their bytes kept for Open, so a torn tail or
+// dictionary fails the commit and recovery falls back to the previous
+// one. The prefix is read through dict, the DICT handle Open keeps for
+// appends.
 func validateManifest(dir string, m *manifest, dict *os.File) error {
 	if err := checkSegmentSize(m.SegSize); err != nil {
 		return err
 	}
 	for i := range m.Segments {
 		b := &m.Segments[i]
-		if n, ok := nameNumber(b.File, segPrefix, segNameDigits); !ok || n != uint64(i) {
+		if b.File != segFileName(i) {
 			return fmt.Errorf("store: segment %d is named %q", i, b.File)
 		}
-		if err := validateZones(b, len(m.Attrs)); err != nil {
+		if err := validateZones(b); err != nil {
 			return err
 		}
-		path := filepath.Join(dir, b.File)
-		if err := checkSize(path, b.Size); err != nil {
+		if err := checkSize(filepath.Join(dir, b.File), b.Size); err != nil {
 			return err
-		}
-		if m.v1 {
-			if err := noteLegacySegment(path, b); err != nil {
-				return err
-			}
 		}
 	}
 	if t := m.Tail; t != nil {
-		if _, ok := nameNumber(t.File, tailPrefix, tailNameDigits); !ok {
-			return fmt.Errorf("store: the tail is named %q", t.File)
-		}
 		f, err := os.Open(filepath.Join(dir, t.File))
 		if err != nil {
 			return err
@@ -544,39 +468,17 @@ func validateManifest(dir string, m *manifest, dict *os.File) error {
 	return nil
 }
 
-// validateZones checks a segment's zone maps are well formed: one per
-// schema column, each a real interval or the empty zone. The DP bounds are
-// served from them without decoding, so a malformed array must fail the
-// commit rather than reach NumRange. (Whether the zones match the segment's
-// values is checked when the segment is decoded.)
-func validateZones(b *manifestBlock, cols int) error {
-	if b.Zones == nil {
-		return nil
-	}
-	if len(b.Zones) != cols {
-		return fmt.Errorf("store: %s: %d zone maps, schema has %d columns", b.File, len(b.Zones), cols)
-	}
+// validateZones checks that each of a segment's zone maps is a real
+// interval or the empty zone. The DP bounds are served from them without
+// decoding, so a malformed zone must fail the commit rather than reach
+// NumRange. (Whether the zones match the segment's values is checked when
+// the segment is decoded.)
+func validateZones(b *manifestBlock) error {
 	for j, z := range decodeZones(b.Zones) {
 		if !(z.min <= z.max) && z != emptyZone {
 			return fmt.Errorf("store: %s: column %d zone [%g, %g] is not an interval", b.File, j, z.min, z.max)
 		}
 	}
-	return nil
-}
-
-// noteLegacySegment reads the magic of the segment file at path and notes
-// in b whether it is a SEG v1 or v2 segment.
-func noteLegacySegment(path string, b *manifestBlock) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var head [len(segMagic)]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	b.legacy = string(head[:]) == segMagicV1 || string(head[:]) == segMagicV2
 	return nil
 }
 

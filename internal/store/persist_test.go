@@ -416,7 +416,7 @@ func TestManifestSegmentSizeCheckedAtOpen(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		rewriteNewestManifest(t, dir, func(m *manifest) { m.SegSize = size })
+		editNewestManifest(t, dir, func(m *manifest) { m.SegSize = size })
 		m, err := readManifest(newestManifest(t, dir))
 		if err != nil {
 			t.Fatal(err)

@@ -12,12 +12,12 @@ import (
 // A segment is an immutable, fully indexed block of exactly segSize rows.
 // The segment value itself is only the handle — global position, row count,
 // zone maps and tier state; the decoded dictionary-coded columns and their
-// indexes live in a segData that the handle either holds resident (the in-memory tier) or
-// decodes on demand from its SegmentSource (the spilled tier, backed by
-// the on-disk segment file). Every reader of columns goes through acquire,
-// so the evaluation kernels are tier-blind. Once built, a segment's data
-// is never mutated — the immutability that gives snapshots their
-// isolation for free.
+// indexes live in a segData that the handle either holds resident (the
+// in-memory tier) or decodes on demand from its segment file (the
+// spilled tier, read through src). Every reader of columns goes through
+// acquire, so the evaluation kernels are tier-blind. Once built, a
+// segment's data is never mutated — the immutability that gives
+// snapshots their isolation for free.
 type segment struct {
 	base  int   // global row index of the segment's first row
 	n     int   // rows in the segment (== the store's segSize)
@@ -30,7 +30,7 @@ type segment struct {
 	zones []zone
 
 	tier *tierState
-	src  SegmentSource // durable backing; nil for memory-only segments
+	src  *fileSource // durable backing; nil for memory-only segments
 
 	// data is the resident decoded form. Non-nil means the segment is in
 	// the resident tier; nil means it is spilled and acquire decodes it
@@ -66,21 +66,6 @@ func zonesOf(d *segData) []zone {
 		zs[j] = numZone(&d.nums[j])
 	}
 	return zs
-}
-
-// SegmentSource is the tier read abstraction: where a sealed segment's
-// bytes come from when its decoded form is not resident. The only
-// implementation today is the segment file (fileSource), read whole and
-// decoded on every load — the resident tier is the spilled tier's only
-// cache. The planner, shard scatter-gather and EvalBatch never see the
-// difference because they all read columns through segment.acquire.
-type SegmentSource interface {
-	// Load decodes the segment into its evaluable form. The returned
-	// segData is immutable and exactly what buildSegData produced at seal
-	// time — byte-identical answers across tiers follow from that.
-	Load() (*segData, error)
-	// Name identifies the backing (the segment file name) for diagnostics.
-	Name() string
 }
 
 // ErrUnreadable wraps every failure to read a spilled segment back while
@@ -145,7 +130,7 @@ func (sg *segment) load() (*segData, error) {
 	}
 	for j, z := range zonesOf(d) {
 		if h := sg.zones[j]; !z.identical(h) {
-			return nil, fmt.Errorf("store: %s: column %d decodes to zone [%g, %g], manifest says [%g, %g]", sg.src.Name(), j, z.min, z.max, h.min, h.max)
+			return nil, fmt.Errorf("store: %s: column %d decodes to zone [%g, %g], manifest says [%g, %g]", sg.src.name, j, z.min, z.max, h.min, h.max)
 		}
 	}
 	return d, nil
@@ -172,8 +157,8 @@ func (sg *segment) resident() bool { return sg.data.Load() != nil }
 // segData is the decoded, evaluable form of one sealed segment: every
 // column dictionary-coded (dictCol), numeric ones over float64 values and
 // categorical ones over the store-wide dictionary's codes. It is immutable
-// once built (buildSegData at seal, decodeSegment from a file) and shared
-// freely across goroutines and snapshots.
+// once built (dictBuilder.build at seal, decodeSegment from a file) and
+// shared freely across goroutines and snapshots.
 type segData struct {
 	n    int
 	nums []dictCol[float64] // per schema column; the zero value at categorical columns
@@ -255,17 +240,6 @@ func numZone(c *dictCol[float64]) zone {
 	return z
 }
 
-// buildSegData dictionary-codes one sealed block with a fresh builder; a
-// store's seals reuse the store's builder (Store.dicts) instead. nums/cats
-// are the frozen column buffers; the segData copies what it keeps out of
-// them. The build is deterministic in the column values alone, and a
-// decode rebuilds the index with the same indexCodes pass, which is what
-// makes a reload from disk indistinguishable from the original resident
-// form.
-func buildSegData(nums [][]float64, cats [][]uint32) *segData {
-	return newDictBuilder().build(nums, cats)
-}
-
 // footprint is the byte size of every slice the segData holds, for the
 // resident-tier memory accounting.
 func (d *segData) footprint() int64 {
@@ -330,7 +304,11 @@ type dictBuilder struct {
 // build.
 func newDictBuilder() *dictBuilder { return &dictBuilder{mul: rand.Uint64() | 1} }
 
-// build dictionary-codes one sealed block (see buildSegData).
+// build dictionary-codes one sealed block. nums/cats are the frozen
+// column buffers; the segData copies what it keeps out of them. The build
+// is deterministic in the column values alone, and a decode rebuilds the
+// index with the same indexCodes pass, which is what makes a reload from
+// disk indistinguishable from the original resident form.
 func (db *dictBuilder) build(nums [][]float64, cats [][]uint32) *segData {
 	d := &segData{nums: make([]dictCol[float64], len(nums)), cats: make([]dictCol[uint32], len(cats))}
 	for j, col := range nums {

@@ -9,6 +9,12 @@ import (
 
 const sideSegSize = 64
 
+// buildSegData dictionary-codes one block of columns with a fresh builder,
+// as a store's seal does with its own (Store.dicts).
+func buildSegData(nums [][]float64, cats [][]uint32) *segData {
+	return newDictBuilder().build(nums, cats)
+}
+
 // sideStore builds seven sealed 64-row segments plus a 20-row tail whose
 // values put the kernel's side choice on every edge: match counts of
 // n/2−1, n/2 and n/2+1, NaN-heavy, NaN-majority and all-NaN segments,

@@ -303,7 +303,7 @@ func (s *Store) sealLocked() error {
 		if err != nil {
 			return err
 		}
-		sg.src = &fileSource{t: s.tier, ord: sg.ord, name: name, size: size, crc: crc, decoded: sg.bytes}
+		sg.src = &fileSource{t: s.tier, ord: sg.ord, name: name, size: size, crc: crc}
 	}
 	sg.data.Store(d)
 	s.tier.noteSealed(sg.bytes)

@@ -19,10 +19,10 @@ import (
 // forever, while a durable store (Create/Open) writes each sealed segment
 // to its own checksummed file at seal time and may then evict the decoded
 // form under a memory cap — the segment stays queryable through its
-// SegmentSource, which reads the whole file with one ReadAt and decodes
-// it. The decoded resident tier is the spilled tier's only cache:
-// promotion is read-through, an acquire of a spilled segment re-admits it
-// to the resident tier whenever the cap has room.
+// fileSource, which reads the whole file with one ReadAt and decodes it.
+// The decoded resident tier is the spilled tier's only cache: promotion
+// is read-through, an acquire of a spilled segment re-admits it to the
+// resident tier whenever the cap has room.
 
 // Process-wide tier gauges, aggregated over every live (un-Closed) store
 // so serve binaries can surface them on /metrics without holding a store
@@ -168,22 +168,22 @@ func (t *tierState) close() {
 	t.fmu.Unlock()
 }
 
-// fileSource is the SegmentSource for a sealed segment persisted in the
-// store directory: each Load reads the whole segment file with one ReadAt,
+// fileSource is the backing of a sealed segment persisted in the store
+// directory: each Load reads the whole segment file with one ReadAt,
 // checks its CRC against the manifest's, and decodes it straight out of
 // that buffer. Open checks only the file's size, so this is where the
 // file's bytes are verified, on every decode.
 type fileSource struct {
-	t       *tierState
-	ord     int
-	name    string
-	size    int64
-	crc     uint32 // whole-file CRC, as recorded in the manifest
-	decoded int64  // decoded footprint, for the resident-tier accounting
+	t    *tierState
+	ord  int
+	name string
+	size int64
+	crc  uint32 // whole-file CRC, as recorded in the manifest
 }
 
-func (fs *fileSource) Name() string { return fs.name }
-
+// Load decodes the segment into its evaluable form. The returned segData
+// is immutable and exactly what the seal built — byte-identical answers
+// across tiers follow from that.
 func (fs *fileSource) Load() (*segData, error) {
 	f, err := fs.t.file(fs.ord, fs.name)
 	if err != nil {
@@ -315,16 +315,14 @@ func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, er
 // validation read, and registers every sealed segment as spilled, with
 // the zone maps and footprint the manifest records — decoded forms come
 // back one checksum-verified file read at a time as queries touch them.
-// Open of a P3DMAN02 manifest reads no segment file. Under a P3DMAN01
-// manifest, one written before zone maps were persisted has them filled
-// by decoding each segment once, and a SEG v1 or v2 file is decoded once
-// to account the footprint its dictionary-coded form holds; those decodes
-// check the CRC too, so a corrupt one fails Open. The epoch is bumped and
-// committed (as P3DMAN02) before the store is returned, so snapshot
-// versions from this incarnation can never collide with versions any
-// previous incarnation may have handed out after its last commit. That
-// commit writes only the manifest: the tail has not changed, so it names
-// the adopted tail file again.
+// Open reads no segment file. Only P3DMAN02 manifests and SEG v3 segments
+// are read: a directory whose manifests are all of an earlier layout
+// fails to open, naming the layout, and Open removes none of its files.
+// The epoch is bumped and committed before the store is returned, so
+// snapshot versions from this incarnation can never collide with
+// versions any previous incarnation may have handed out after its last
+// commit. That commit writes only the manifest: the tail has not changed,
+// so it names the adopted tail file again.
 func Open(dir string, opts Options) (*Store, error) {
 	lockF, err := lockDir(dir)
 	if err != nil {
@@ -380,36 +378,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	segs := make([]*segment, len(m.Segments))
 	for i := range m.Segments {
 		b := &m.Segments[i]
-		src := &fileSource{t: s.tier, ord: i, name: b.File, size: b.Size, crc: b.CRC, decoded: b.Decoded}
-		sg := &segment{
+		segs[i] = &segment{
 			base:  i * s.segSize,
 			n:     b.Rows,
 			ord:   i,
 			bytes: b.Decoded,
 			zones: decodeZones(b.Zones),
 			tier:  s.tier,
-			src:   src,
+			src:   &fileSource{t: s.tier, ord: i, name: b.File, size: b.Size, crc: b.CRC},
 		}
-		if sg.zones == nil || b.legacy {
-			// A P3DMAN01 manifest from before zone maps were persisted, or
-			// a SEG v1 or v2 file under a P3DMAN01 manifest, whose
-			// recorded footprint is that of the raw columns and 32-bit
-			// indexes those formats decoded to: decode once so this Open's
-			// commit records, as P3DMAN02, the zones and the footprint of
-			// the dictionary-coded form. Zones the manifest does record
-			// must match the decode.
-			load := sg.load
-			if sg.zones == nil {
-				load = src.Load
-			}
-			d, err := load()
-			if err != nil {
-				return fail(err)
-			}
-			sg.zones = zonesOf(d)
-			sg.bytes, src.decoded = d.footprint(), d.footprint()
-		}
-		segs[i] = sg
 	}
 	s.segs = segs
 	s.tier.spilledSegs.Store(int64(len(segs)))
@@ -562,8 +539,7 @@ func (s *Store) commitLocked() error {
 	}
 	m.Segments = make([]manifestBlock, len(s.segs))
 	for i, sg := range s.segs {
-		src := sg.src.(*fileSource)
-		m.Segments[i] = manifestBlock{File: src.name, Rows: sg.n, Size: src.size, CRC: src.crc, Decoded: src.decoded, Zones: encodeZones(sg.zones)}
+		m.Segments[i] = manifestBlock{File: sg.src.name, Rows: sg.n, Size: sg.src.size, CRC: sg.src.crc, Decoded: sg.bytes, Zones: encodeZones(sg.zones)}
 	}
 	tail := committedTail{base: len(s.segs) * s.segSize}
 	if s.tailLen > 0 {

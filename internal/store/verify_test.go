@@ -27,38 +27,39 @@ func openCapped(t *testing.T, dir string) *Store {
 	return r
 }
 
-// wantChecksumError fails unless err is an ErrUnreadable that names file
-// and says "checksum".
-func wantChecksumError(t *testing.T, what string, err error, file string) {
+// wantUnreadable fails unless err is an ErrUnreadable that names file and
+// says says.
+func wantUnreadable(t *testing.T, what string, err error, file, says string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s over a corrupt %s: no error", what, file)
 	}
-	if !errors.Is(err, ErrUnreadable) || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("%s over a corrupt %s: error %q, want an ErrUnreadable naming the file and the checksum", what, file, err)
+	if !errors.Is(err, ErrUnreadable) || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), says) {
+		t.Fatalf("%s over a corrupt %s: error %q, want an ErrUnreadable naming the file and saying %q", what, file, err, says)
 	}
 }
 
 // wantEveryEvalFails checks that Eval, EvalScan and EvalBatch over the
-// snapshot all fail naming file, and return no bitmap — with conditions
-// and without (a query with no WHERE clause reads every segment too).
-func wantEveryEvalFails(t *testing.T, snap *Snapshot, file string) {
+// snapshot all fail naming file and saying says, and return no bitmap —
+// with conditions and without (a query with no WHERE clause reads every
+// segment too).
+func wantEveryEvalFails(t *testing.T, snap *Snapshot, file, says string) {
 	t.Helper()
 	for _, q := range [][]Cond{verifyQuery, nil} {
 		bm, err := snap.Eval(q)
-		wantChecksumError(t, "Eval", err, file)
+		wantUnreadable(t, "Eval", err, file, says)
 		if bm != nil {
 			t.Fatalf("Eval(%v) over a corrupt %s returned a bitmap", q, file)
 		}
 		bm, err = snap.EvalScan(q)
-		wantChecksumError(t, "EvalScan", err, file)
+		wantUnreadable(t, "EvalScan", err, file, says)
 		if bm != nil {
 			t.Fatalf("EvalScan(%v) over a corrupt %s returned a bitmap", q, file)
 		}
 	}
 	for _, batch := range [][][]Cond{{verifyQuery, {{Col: "weight", Op: Gt, V: 70}}}, {nil}} {
 		bms, err := snap.EvalBatch(batch)
-		wantChecksumError(t, "EvalBatch", err, file)
+		wantUnreadable(t, "EvalBatch", err, file, says)
 		if bms != nil {
 			t.Fatalf("EvalBatch(%v) over a corrupt %s returned bitmaps", batch, file)
 		}
@@ -118,8 +119,8 @@ func swapFailsEveryQuery(t *testing.T, dir, name string, a, b, width int) {
 	if r.Rows() != persistTestRows {
 		t.Fatalf("Open recovered %d rows, want all %d: a same-size corrupt segment must not roll back the commit", r.Rows(), persistTestRows)
 	}
-	wantEveryEvalFails(t, r.Snapshot(), name)
-	wantEveryEvalFails(t, r.Snapshot(), name)
+	wantEveryEvalFails(t, r.Snapshot(), name, "checksum")
+	wantEveryEvalFails(t, r.Snapshot(), name, "checksum")
 }
 
 // TestBitFlipAfterOpenFailsEvalUntilRestored flips one byte of a spilled
@@ -144,11 +145,11 @@ func TestBitFlipAfterOpenFailsEvalUntilRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipByte(t, path, 24+1+4+8*3) // a height dictionary entry
-	wantEveryEvalFails(t, r.Snapshot(), name)
+	wantEveryEvalFails(t, r.Snapshot(), name, "checksum")
 	func() {
 		defer func() {
 			err, _ := recover().(error)
-			wantChecksumError(t, "Materialize", err, name)
+			wantUnreadable(t, "Materialize", err, name, "checksum")
 		}()
 		r.Snapshot().Materialize()
 	}()

@@ -2,8 +2,6 @@ package store
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,27 +61,6 @@ func zoneEdgeStore(t *testing.T, dir string, opts Options) *Store {
 		}
 	}
 	return s
-}
-
-// rewriteNewestManifest applies edit to the newest committed manifest and
-// commits it back under the same sequence with a valid checksum in the
-// P3DMAN01 layout, as an older writer — one with different zone-map or
-// footprint behaviour, or none — would have.
-func rewriteNewestManifest(t *testing.T, dir string, edit func(m *manifest)) {
-	t.Helper()
-	seqs, err := listManifests(dir)
-	if err != nil || len(seqs) == 0 {
-		t.Fatalf("listManifests: %v (%d found)", err, len(seqs))
-	}
-	path := filepath.Join(dir, manifestFileName(seqs[0]))
-	m, err := readManifest(path)
-	if err != nil {
-		t.Fatalf("readManifest: %v", err)
-	}
-	edit(m)
-	if err := os.WriteFile(path, encodeManifestV1(t, m), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestZonesRoundTripExactlyThroughColdOpen(t *testing.T) {
@@ -187,98 +164,6 @@ func TestNumRangeColdCappedNeedsNoDecode(t *testing.T) {
 	}
 }
 
-// TestLegacyManifestWithoutZonesOpens pins the upgrade path: a manifest
-// written before zone maps were persisted opens, answers byte-identically,
-// and the commit Open makes records the zones and replaces a decoded
-// footprint of an older layout with the one the segment now decodes to.
-func TestLegacyManifestWithoutZonesOpens(t *testing.T) {
-	dir := t.TempDir()
-	s := createPersistStore(t, dir, persistTestRows, Options{})
-	want := queryFingerprint(t, s.Snapshot())
-	var wantZones [][]zone
-	var wantBytes []int64
-	for _, sg := range s.Snapshot().segs {
-		wantZones = append(wantZones, sg.zones)
-		wantBytes = append(wantBytes, sg.mustAcquire().footprint())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	rewriteNewestManifest(t, dir, func(m *manifest) {
-		for i := range m.Segments {
-			m.Segments[i].Zones = nil
-			m.Segments[i].Decoded += 4096 // as a layout with sorted copies counted
-		}
-	})
-
-	r, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open legacy manifest: %v", err)
-	}
-	defer r.Close()
-	for i, sg := range r.Snapshot().segs {
-		if sg.bytes != wantBytes[i] {
-			t.Errorf("segment %d: handle accounts %d bytes, footprint %d", i, sg.bytes, wantBytes[i])
-		}
-	}
-	if got := queryFingerprint(t, r.Snapshot()); !fingerprintsEqual(got, want) {
-		t.Fatalf("legacy-manifest answers differ")
-	}
-	m, err := readManifest(newestManifest(t, dir))
-	if err != nil {
-		t.Fatalf("readManifest: %v", err)
-	}
-	if len(m.Segments) != len(wantZones) {
-		t.Fatalf("committed manifest has %d segments, want %d", len(m.Segments), len(wantZones))
-	}
-	for i, b := range m.Segments {
-		if b.Decoded != wantBytes[i] {
-			t.Errorf("segment %d: committed decoded footprint %d, want %d", i, b.Decoded, wantBytes[i])
-		}
-		zs := decodeZones(b.Zones)
-		if len(zs) != len(wantZones[i]) {
-			t.Fatalf("segment %d: committed %d zone maps, want %d", i, len(zs), len(wantZones[i]))
-		}
-		for j := range zs {
-			if !zs[j].identical(wantZones[i][j]) {
-				t.Errorf("segment %d column %d: committed zone %v, want %v", i, j, zs[j], wantZones[i][j])
-			}
-		}
-	}
-}
-
-// TestZonesLengthMismatchFallsBackToPreviousCommit pins that a commit
-// whose zones array does not match the schema is invalid like a torn one:
-// validation reports an error and Open adopts the previous commit.
-func TestZonesLengthMismatchFallsBackToPreviousCommit(t *testing.T) {
-	dir := t.TempDir()
-	s := createPersistStore(t, dir, 3*persistSegSize, Options{})
-	if err := s.Append(170.0, 70.0, 50.0, 50.0, 120.0, "N"); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	rewriteNewestManifest(t, dir, func(m *manifest) {
-		m.Segments[1].Zones = m.Segments[1].Zones[:len(m.Segments[1].Zones)-1]
-	})
-	m, err := readManifest(newestManifest(t, dir))
-	if err != nil {
-		t.Fatalf("readManifest: %v", err)
-	}
-	if err := validateManifest(dir, m, nil); err == nil || !strings.Contains(err.Error(), "zone maps") {
-		t.Fatalf("validateManifest = %v, want a zone-map count error", err)
-	}
-	r, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	if r.Rows() != 3*persistSegSize {
-		t.Fatalf("recovered %d rows, want the previous commit's %d", r.Rows(), 3*persistSegSize)
-	}
-}
-
 // TestZoneSegmentDisagreementIsDecodeError pins that a manifest zone the
 // segment file does not bear out fails the segment's decode with an error.
 func TestZoneSegmentDisagreementIsDecodeError(t *testing.T) {
@@ -286,7 +171,7 @@ func TestZoneSegmentDisagreementIsDecodeError(t *testing.T) {
 	if err := createPersistStore(t, dir, 3*persistSegSize, Options{}).Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	rewriteNewestManifest(t, dir, func(m *manifest) {
+	editNewestManifest(t, dir, func(m *manifest) {
 		z := &m.Segments[2].Zones[0]
 		z[1] = math.Float64bits(math.Float64frombits(z[1]) + 1) // still a valid interval
 	})
